@@ -7,7 +7,8 @@ vectorized — with one added step from DESIGN.md §5 note 2: after the
 diagonal chain-combine, each combined triplet is *re-extended to global
 maximality*, because a MEM crossing a tile border may have had no aligned
 sampled seed inside one of the tiles it crosses, leaving that fragment
-missing from the chain.
+missing from the chain. ``reference``/``query`` are code arrays or
+:class:`~repro.index.compare.PackedCodes`: only the re-extension reads them.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ index-only timer, and the multi-device path. This module is the single
 implementation, decomposed into four stage objects composed by a
 :class:`Pipeline`:
 
-- :class:`PrepStage` — query-side preparation (k-mer codes);
+- :class:`PrepStage` — query-side preparation (k-mer codes; the run also
+  packs the query once for every comparison of the run);
 - :class:`RowIndexStage` — the per-row partial seed index, optionally
   served from a cache (see :class:`repro.core.session.MemSession`);
 - :class:`TileMatchStage` — candidate generation + maximal extension +
@@ -39,6 +40,7 @@ from repro.core.host_merge import host_merge
 from repro.core.params import GpuMemParams
 from repro.core.tiling import TilePlan
 from repro.core.vectorized import stage_tile
+from repro.index.compare import PackedCodes, pack_codes
 from repro.index.kmer_index import KmerSeedIndex, build_kmer_index
 from repro.obs.tracer import Tracer, get_tracer
 from repro.sequence.alphabet import encode
@@ -385,8 +387,15 @@ class Pipeline:
         plan: TilePlan,
         row: int,
         cache=None,
+        *,
+        packed_reference: PackedCodes | None = None,
+        packed_query: PackedCodes | None = None,
     ) -> RowResult:
-        """One independent work unit: index + match all tiles of ``row``."""
+        """One independent work unit: index + match all tiles of ``row``.
+
+        The tile stage compares the packings when given (the caller packs
+        each sequence once for all its rows) and the code arrays otherwise.
+        """
         tracer = self.tracer
         with tracer.span("stage:row_index", cat="pipeline", row=row) as sp:
             index, index_seconds, cache_hit = self.row_index.run(
@@ -396,7 +405,9 @@ class Pipeline:
         t0 = time.perf_counter()
         with tracer.span("stage:tile_match", cat="pipeline", row=row) as sp:
             in_tile, out_tile, n_candidates = self.tile_match.run(
-                reference, query, query_kmers, plan, row, index
+                reference if packed_reference is None else packed_reference,
+                query if packed_query is None else packed_query,
+                query_kmers, plan, row, index,
             )
             sp.set(n_candidates=n_candidates, n_in_tile=int(in_tile.size))
         return RowResult(
@@ -422,8 +433,10 @@ class Pipeline:
         """Extract all MEMs; returns ``(triplets, stats)``.
 
         ``index_cache`` (a :class:`MemSession`-like object) short-circuits
-        the row-index stage; ``query_kmers`` short-circuits the prep stage
-        when the caller already holds the rolling codes.
+        the row-index stage and, through its ``packed_reference``
+        attribute, the reference packing; ``query_kmers`` short-circuits
+        the k-mer step of prep when the caller already holds the rolling
+        codes. The query is packed once here for every tile and the merge.
         """
         run_t0 = time.perf_counter()
         tracer = self.tracer
@@ -438,6 +451,10 @@ class Pipeline:
             with tracer.span("stage:prep", cat="pipeline") as sp:
                 if query_kmers is None:
                     query_kmers = self.prep.run(query)
+                packed_query = pack_codes(query)
+                packed_reference = getattr(index_cache, "packed_reference", None)
+                if packed_reference is None:
+                    packed_reference = pack_codes(reference)
                 sp.set(n_kmers=int(query_kmers.size))
             prep_time = time.perf_counter() - t0
 
@@ -451,6 +468,8 @@ class Pipeline:
                     return self.process_row(
                         reference, query, query_kmers, plan, row,
                         cache=index_cache,
+                        packed_reference=packed_reference,
+                        packed_query=packed_query,
                     )
 
                 row_results = self.executor.map_rows(
@@ -459,7 +478,7 @@ class Pipeline:
 
             with tracer.span("stage:host_merge", cat="pipeline") as sp:
                 mems, crossing, out_tile, merge_seconds = self.merge.run(
-                    reference, query, row_results
+                    packed_reference, packed_query, row_results
                 )
                 sp.set(
                     n_out_tile_fragments=int(out_tile.size),

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.analysis import resource_tracker as _res
 from repro.core.params import GpuMemParams
+from repro.index.compare import pack_codes
 from repro.sequence.packed import PackedSequence, SharedSequenceHandle, pack_bits
 
 #: Packed references at or below this many bytes ride inline in the task
@@ -432,8 +433,15 @@ def run_row_band(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
     query = np.frombuffer(spec.query, dtype=np.uint8)
     plan = pipeline.plan_for(codes.size, query.size)
     query_kmers = pipeline.prep.run(query)
+    packed_reference = (
+        pack_codes(codes) if cache is None else cache.packed_reference
+    )
+    packed_query = pack_codes(query)
     results = [
-        pipeline.process_row(codes, query, query_kmers, plan, row, cache=cache)
+        pipeline.process_row(
+            codes, query, query_kmers, plan, row, cache=cache,
+            packed_reference=packed_reference, packed_query=packed_query,
+        )
         for row in rows
     ]
     return results, _collect_obs(spec)

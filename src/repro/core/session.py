@@ -28,6 +28,7 @@ from repro.analysis.lock_tracker import new_lock
 from repro.core.executors import RowExecutor, make_executor
 from repro.core.params import GpuMemParams
 from repro.core.pipeline import Pipeline, PipelineStats, as_codes
+from repro.index.compare import pack_codes
 from repro.index.kmer_index import KmerSeedIndex
 from repro.obs.tracer import Tracer, get_tracer
 from repro.types import MatchSet
@@ -72,6 +73,9 @@ class MemSession:
         self.params = params
         self.tracer = get_tracer(tracer)
         self.reference = as_codes(reference)
+        #: The reference packed once for every comparison of every query
+        #: (immutable, so concurrent queries share it without a lock).
+        self.packed_reference = pack_codes(self.reference)
         #: Injectable lock factory (``name -> lock``); the default
         #: ``new_lock`` yields plain locks unless a runtime
         #: :class:`repro.analysis.lock_tracker.LockTracker` is installed.

@@ -10,6 +10,9 @@ Key semantics (DESIGN.md §5):
 
 - Only the *index* is tile-local. Reads of ``R``/``Q`` may cross tile
   borders (both sequences are resident in global memory, 2-bit packed).
+  ``reference``/``query`` are code arrays or
+  :class:`~repro.index.compare.PackedCodes`; the pipeline passes the
+  packings it made once per session and per run.
 - A triplet whose maximal in-tile extension reaches the tile box is marked
   *touching* and forwarded to the host stage regardless of length; in-tile
   MEMs (mismatch-delimited strictly inside the box) are final and filtered
@@ -151,7 +154,7 @@ def stage_tile(
 ) -> TileStageResult:
     """Full tile stage: candidates → extension → in/out split."""
     r, q, hit_counts = tile_candidates(
-        query_kmers, tile, index, query.size, index.seed_length
+        query_kmers, tile, index, len(query), index.seed_length
     )
     result = extend_and_classify(
         reference, query, tile, r, q, index.seed_length, min_length

@@ -1,4 +1,4 @@
-"""Batched sequence-comparison kernels.
+"""Batched sequence-comparison kernels on 2-bit packed words.
 
 Every matcher in the library reduces to one primitive: *given many position
 pairs, how far do the two sequences agree?* This module provides that
@@ -11,121 +11,168 @@ primitive fully vectorized:
 - :func:`compare_positions` — three-way suffix comparison (used by the
   batched binary searches of the suffix-array baselines).
 
-The kernels compare fixed-size windows (``CHUNK`` bases) per vectorized
-round, retiring pairs as soon as a mismatch appears, so total work is
-``O(sum of agreement lengths + CHUNK * n_pairs)`` with NumPy-sized
-constants. Batches are internally split so peak scratch memory stays below
-``~CHUNK * BATCH`` bytes per operand.
+Sequences are compared the way GPUMEM compares them on the device (§III):
+2-bit packed, 32 bases per ``uint64`` word. The 32-base window at any
+position is two word gathers and a shift; XOR-ing the two windows leaves the
+first mismatch in the lowest set bit. A run ends at the first mismatch, at
+the end of either sequence (the run is clipped to the bases both have left,
+so no sentinel bases are needed) or at ``limit``. Total work is
+``O(sum of agreement lengths / 32 + n_pairs)`` word operations; batches are
+split so scratch memory stays bounded.
+
+Each sequence operand is either a base-code array (values 0..3), packed on
+the call, or a :class:`PackedCodes` made once by :func:`pack_codes` and
+reused by every call — the pipeline packs the reference once per session
+and the query once per run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-#: Bases compared per vectorized round.
-CHUNK = 64
+from repro.sequence.packed import pack_bits
 
-#: Maximum pairs gathered at once (bounds scratch memory to ~32 MB).
+#: Bases per packed word.
+WORD_BASES = 32
+
+#: Maximum pairs compared at once (bounds scratch memory to ~20 MB).
 BATCH = 1 << 18
 
-# Distinct out-of-range sentinels so a run can never continue past the end
-# of either sequence (4 != 5, and neither equals a real base 0..3).
-_SENT_A = 4
-_SENT_B = 5
+_ONE = np.uint64(1)
+_NO_MISMATCH = 2.0**64  # lowest-set-bit stand-in for a zero XOR: 32 bases
 
 
-def _padded(codes: np.ndarray, sentinel: int) -> np.ndarray:
-    """Copy of ``codes`` with CHUNK sentinel bases appended."""
-    out = np.full(codes.size + CHUNK, sentinel, dtype=np.uint8)
-    out[: codes.size] = codes
-    return out
+@dataclass(frozen=True, eq=False)
+class PackedCodes:
+    """One sequence as little-endian 2-bit ``uint64`` words, both directions.
+
+    ``fwd`` holds bases ``32*i .. 32*i+31`` in word ``i`` (base ``j`` of a
+    word in bits ``2j, 2j+1``) followed by one zero guard word; ``rev`` is
+    the same for the reversed sequence, so suffix runs use the prefix
+    kernel. Immutable: sessions share one across threads without a lock.
+    """
+
+    n: int
+    fwd: np.ndarray
+    rev: np.ndarray
+
+    def __len__(self) -> int:
+        return self.n
 
 
-def common_prefix_len(
-    a: np.ndarray,
-    b: np.ndarray,
+def _words(codes: np.ndarray) -> np.ndarray:
+    """``codes`` packed into ``uint64`` words plus one zero guard word."""
+    packed = pack_bits(codes)
+    words = np.zeros((packed.size + 7) // 8 + 1, dtype="<u8")
+    words.view(np.uint8)[: packed.size] = packed
+    words.flags.writeable = False
+    return words
+
+
+def pack_codes(codes) -> PackedCodes:
+    """Pack a base-code array (values 0..3) for repeated comparison."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    return PackedCodes(int(codes.size), _words(codes), _words(codes[::-1]))
+
+
+def _operand(seq, reverse: bool) -> tuple[np.ndarray, int]:
+    """``(words, n)`` of one operand in the requested direction."""
+    if isinstance(seq, PackedCodes):
+        return (seq.rev if reverse else seq.fwd), seq.n
+    codes = np.ascontiguousarray(seq, dtype=np.uint8)
+    return _words(codes[::-1] if reverse else codes), int(codes.size)
+
+
+def _window(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 32 bases starting at each position, one ``uint64`` per position."""
+    w = pos >> 5
+    shift = ((pos & 31) << 1).astype(np.uint64)
+    # Split the left shift so it never reaches 64 bits when ``shift`` is 0.
+    return (words[w] >> shift) | ((words[w + 1] << _ONE) << (np.uint64(63) - shift))
+
+
+def _agreement(
+    wa: np.ndarray,
+    na: int,
+    wb: np.ndarray,
+    nb: int,
     pa: np.ndarray,
     pb: np.ndarray,
-    *,
-    limit: int | None = None,
+    limit: int | None,
 ) -> np.ndarray:
-    """Length of the longest common prefix of ``a[pa:]`` and ``b[pb:]``.
-
-    Vectorized over equal-length position vectors ``pa``/``pb``. Positions
-    at or past the end of their sequence yield 0. With ``limit`` the result
-    is capped (and the scan stops early, so capping is also an optimization).
-    """
+    """The packed-word kernel: forward run length per ``(pa, pb)`` pair."""
     pa = np.asarray(pa, dtype=np.int64)
     pb = np.asarray(pb, dtype=np.int64)
     if pa.shape != pb.shape:
         raise ValueError(f"position shape mismatch: {pa.shape} vs {pb.shape}")
-    n = pa.size
-    out = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return out
-    a_pad = _padded(np.ascontiguousarray(a, dtype=np.uint8), _SENT_A)
-    b_pad = _padded(np.ascontiguousarray(b, dtype=np.uint8), _SENT_B)
-    na, nb = a.size, b.size
-    offsets = np.arange(CHUNK)
-    for lo in range(0, n, BATCH):
-        hi = min(lo + BATCH, n)
-        idx = np.arange(lo, hi)
-        # Out-of-range start positions are moved onto the sentinel region so
-        # their run length is 0 (rather than silently clamping into the data).
-        cur_a = np.where((pa[idx] < 0) | (pa[idx] > na), na, pa[idx])
-        cur_b = np.where((pb[idx] < 0) | (pb[idx] > nb), nb, pb[idx])
-        run = np.zeros(idx.size, dtype=np.int64)
-        active = np.arange(idx.size)
-        while active.size:
-            wa = a_pad[cur_a[active, None] + offsets]
-            wb = b_pad[cur_b[active, None] + offsets]
-            neq = wa != wb
-            has_mismatch = neq.any(axis=1)
-            first = np.where(has_mismatch, neq.argmax(axis=1), CHUNK)
-            run[active] += first
-            survivors = ~has_mismatch
-            if limit is not None:
-                survivors &= run[active] < limit
-            active = active[survivors]
-            cur_a[active] += CHUNK
-            cur_b[active] += CHUNK
+    out = np.zeros(pa.size, dtype=np.int64)
+    for lo in range(0, pa.size, BATCH):
+        cur_a = pa[lo : lo + BATCH]
+        cur_b = pb[lo : lo + BATCH]
+        # Bases both sequences have left; out-of-range starts get none.
+        clip = np.minimum(na - cur_a, nb - cur_b)
+        clip[(cur_a < 0) | (cur_b < 0) | (clip < 0)] = 0
         if limit is not None:
-            np.minimum(run, limit, out=run)
-        out[idx] = run
+            np.minimum(clip, limit, out=clip)
+        run = np.zeros(clip.size, dtype=np.int64)
+        active = np.flatnonzero(clip > 0)
+        cur_a = cur_a[active]
+        cur_b = cur_b[active]
+        while active.size:
+            x = _window(wa, cur_a) ^ _window(wb, cur_b)
+            low = (x & (~x + _ONE)).astype(np.float64)
+            low[x == 0] = _NO_MISMATCH
+            # ``low`` is an exact power of two: its exponent is the bit index.
+            agreed = (np.frexp(low)[1] - 1) >> 1
+            left = clip[active] - run[active]
+            run[active] += np.minimum(agreed, left)
+            more = (agreed == WORD_BASES) & (left > WORD_BASES)
+            active = active[more]
+            cur_a = cur_a[more] + WORD_BASES
+            cur_b = cur_b[more] + WORD_BASES
+        out[lo : lo + BATCH] = run
     return out
 
 
-def common_suffix_len(
-    a: np.ndarray,
-    b: np.ndarray,
-    pa: np.ndarray,
-    pb: np.ndarray,
-    *,
-    limit: int | None = None,
-) -> np.ndarray:
+def common_prefix_len(a, b, pa, pb, *, limit: int | None = None) -> np.ndarray:
+    """Length of the longest common prefix of ``a[pa:]`` and ``b[pb:]``.
+
+    Vectorized over equal-length position vectors ``pa``/``pb``; ``a`` and
+    ``b`` are code arrays or :class:`PackedCodes`. Positions at or past the
+    end of their sequence yield 0. With ``limit`` the result is capped (and
+    the scan stops early, so capping is also an optimization).
+    """
+    wa, na = _operand(a, reverse=False)
+    wb, nb = _operand(b, reverse=False)
+    return _agreement(wa, na, wb, nb, pa, pb, limit)
+
+
+def common_suffix_len(a, b, pa, pb, *, limit: int | None = None) -> np.ndarray:
     """Length of the longest common suffix of ``a[:pa]`` and ``b[:pb]``.
 
     This is the left-extension primitive: for a match whose starts are
     ``(r, q)``, ``common_suffix_len(R, Q, r, q)`` says how far the match can
-    grow to the left.
+    grow to the left. It runs the prefix kernel on the reversed words at
+    mirrored positions.
     """
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
+    wa, na = _operand(a, reverse=True)
+    wb, nb = _operand(b, reverse=True)
     pa = np.asarray(pa, dtype=np.int64)
     pb = np.asarray(pb, dtype=np.int64)
-    # Reverse both sequences; a common suffix of prefixes becomes a common
-    # prefix of suffixes at mirrored positions.
-    return common_prefix_len(
-        a[::-1], b[::-1], a.size - pa, b.size - pb, limit=limit
-    )
+    return _agreement(wa, na, wb, nb, na - pa, nb - pb, limit)
 
 
-def compare_positions(
-    a: np.ndarray,
-    b: np.ndarray,
-    pa: np.ndarray,
-    pb: np.ndarray,
-) -> np.ndarray:
+def _bases_at(words: np.ndarray, n: int, pos: np.ndarray) -> np.ndarray:
+    """Base code at each position as int64, or -1 past the end."""
+    safe = np.clip(pos, 0, max(n - 1, 0))
+    shift = ((safe & 31) << 1).astype(np.uint64)
+    codes = ((words[safe >> 5] >> shift) & np.uint64(3)).astype(np.int64)
+    return np.where(pos < n, codes, -1)
+
+
+def compare_positions(a, b, pa, pb) -> np.ndarray:
     """Three-way comparison of suffixes ``a[pa:]`` vs ``b[pb:]``.
 
     Returns -1 / 0 / +1 per pair under true suffix order: compare bases until
@@ -133,16 +180,13 @@ def compare_positions(
     shorter one is smaller (matching the suffix-array convention with a
     virtual end-of-string sentinel smaller than every base).
     """
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
+    wa, na = _operand(a, reverse=False)
+    wb, nb = _operand(b, reverse=False)
     pa = np.asarray(pa, dtype=np.int64)
     pb = np.asarray(pb, dtype=np.int64)
-    lcp = common_prefix_len(a, b, pa, pb)
-    # Character (or sentinel) that decided the comparison.
-    ia = pa + lcp
-    ib = pb + lcp
-    # int16/int8 are deliberate: bases are uint8 widened so the -1 sentinel
-    # fits, and the result is a -1/0/+1 sign — no index/offset lives here.
-    ca = np.where(ia < a.size, a[np.minimum(ia, a.size - 1)].astype(np.int16), -1)  # simt: ignore[KL202]
-    cb = np.where(ib < b.size, b[np.minimum(ib, b.size - 1)].astype(np.int16), -1)  # simt: ignore[KL202]
+    lcp = _agreement(wa, na, wb, nb, pa, pb, None)
+    # The base (or -1 end marker) that decided each comparison.
+    ca = _bases_at(wa, na, pa + lcp)
+    cb = _bases_at(wb, nb, pb + lcp)
+    # int8 is deliberate: the result is a -1/0/+1 sign, not an index/offset.
     return np.sign(ca - cb).astype(np.int8)  # simt: ignore[KL202]

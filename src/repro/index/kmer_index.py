@@ -184,8 +184,10 @@ def build_kmer_index(
             locs=positions,
         )
 
-    all_kmers = kmer_codes(codes, seed_length)
-    seeds = all_kmers[positions]
+    # Encode only this row's window: the last seed ends at
+    # ``positions[-1] + seed_length`` (at most the sequence end).
+    window = codes[first : int(positions[-1]) + seed_length]
+    seeds = kmer_codes(window, seed_length)[positions - first]
     order = np.argsort(seeds, kind="stable")  # stable → per-seed positions sorted
     locs = positions[order]
     counts = np.bincount(seeds, minlength=n_seeds)

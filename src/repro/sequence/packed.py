@@ -1,15 +1,12 @@
 """2-bit packed sequence storage and vectorized k-mer extraction.
 
 The paper stores sequences at 2 bits/base (§IV). :class:`PackedSequence`
-provides that storage plus the two operations the matcher pipeline needs in
-bulk:
-
-- :func:`kmer_codes`: the integer value of the ``ℓs``-mer starting at every
-  position, computed with a vectorized Horner scan (this is what both the
-  index construction of Algorithm 1 and the per-thread query-seed lookups
-  consume).
-- :meth:`PackedSequence.limbs`: 32-base ``uint64`` windows used by the
-  suffix-array baselines for fast batched suffix comparison.
+provides that storage; :func:`pack_bits` is also the packer behind the
+comparison kernels' ``uint64`` words (:mod:`repro.index.compare`), and
+:func:`kmer_codes` gives the integer value of the ``ℓs``-mer starting at
+every position, computed with a vectorized Horner scan (this is what both
+the index construction of Algorithm 1 and the per-thread query-seed lookups
+consume).
 
 For the process-sharded execution tier, :meth:`PackedSequence.to_shared` /
 :meth:`PackedSequence.from_shared` move the packed buffer into a named
@@ -29,10 +26,6 @@ import numpy as np
 from repro.analysis import resource_tracker as _res
 from repro.errors import InvalidSequenceError
 from repro.sequence.alphabet import decode, encode
-
-#: Number of bases packed per uint64 limb (2 bits each).
-BASES_PER_LIMB = 32
-
 
 def _defuse_shared_memory(shm) -> None:
     """Make ``SharedMemory.__del__`` a no-op on a close that raced shutdown.
@@ -388,23 +381,3 @@ class PackedSequence:
     def kmers(self, k: int) -> np.ndarray:
         """Integer seed values at every start position (see :func:`kmer_codes`)."""
         return kmer_codes(self.codes(), k)
-
-    def limbs(self, positions: np.ndarray, n_limbs: int) -> np.ndarray:
-        """``uint64`` big-endian 32-base windows for batched comparison.
-
-        ``out[i, j]`` packs bases ``positions[i] + 32*j .. + 32*(j+1) - 1``;
-        windows running past the end are zero-padded, and comparisons remain
-        correct for suffix *ordering* as long as ties are broken by suffix
-        length (shorter suffix is smaller), which callers must handle.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        codes = self.codes()
-        padded = np.zeros(self._n + n_limbs * BASES_PER_LIMB, dtype=np.uint64)
-        padded[: self._n] = codes
-        out = np.zeros((positions.size, n_limbs), dtype=np.uint64)
-        shifts = np.arange(BASES_PER_LIMB - 1, -1, -1, dtype=np.uint64) * np.uint64(2)
-        for j in range(n_limbs):
-            base = positions + j * BASES_PER_LIMB
-            window = padded[base[:, None] + np.arange(BASES_PER_LIMB)]
-            out[:, j] = (window << shifts).sum(axis=1, dtype=np.uint64)
-        return out

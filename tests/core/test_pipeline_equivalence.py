@@ -188,6 +188,87 @@ class TestSessionCaching:
         clear_session_cache()
 
 
+class TestPackOnce:
+    """The reference is packed once per session and each query once per run."""
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        """Count packings: ``pack_codes`` calls (by argument) and the word
+        packs under them, which also catch per-call packing of arrays."""
+        import importlib
+
+        from repro.index import compare
+
+        original_pack, original_words = compare.pack_codes, compare._words
+        log = {"pack_codes": [], "words": 0}
+
+        def pack_codes(codes):
+            log["pack_codes"].append(codes)
+            return original_pack(codes)
+
+        def words(codes):
+            log["words"] += 1
+            return original_words(codes)
+
+        monkeypatch.setattr(compare, "_words", words)
+        modules = [
+            importlib.import_module(name)
+            for name in ("repro.index.compare", "repro.core.pipeline",
+                         "repro.core.session", "repro.core.procpool")
+        ]
+        for module in modules:
+            assert module.pack_codes is original_pack
+            monkeypatch.setattr(module, "pack_codes", pack_codes)
+        return log
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(11)
+        R = rng.integers(0, 4, 600).astype(np.uint8)
+        queries = [
+            np.concatenate([R[40 * i : 40 * i + 150], rng.integers(0, 4, 60)]).astype(np.uint8)
+            for i in range(5)
+        ]
+        return R, queries
+
+    def test_warm_session_packs_reference_once_and_each_query_once(self, packs):
+        R, queries = self._inputs()
+        session = MemSession(R, _params())
+        session.warm()
+        assert session.n_rows >= 2
+        assert len(packs["pack_codes"]) == 1 and packs["words"] == 2
+        for Q in queries:
+            result = session.find_mems(Q)
+            assert mems_equal(result.array, brute_force_mems(R, Q, L))
+        packed = packs["pack_codes"]
+        assert packed[0] is session.reference
+        assert len(packed) == 1 + len(queries)
+        assert all(p is not session.reference for p in packed[1:])
+        # Two word arrays (forward, reversed) per packing, none per compare.
+        assert packs["words"] == 2 * len(packed)
+
+    def test_thread_server_reuses_the_session_packing(self, packs):
+        from repro.core import MemServer
+
+        R, queries = self._inputs()
+        session = MemSession(R, _params())
+        session.warm()
+        with MemServer(session, tier="thread", workers=2, admission_limit=16) as server:
+            results = [server.submit(Q) for Q in queries]
+            for Q, future in zip(queries, results, strict=True):
+                res = future.result(timeout=60)
+                assert res.ok
+                assert mems_equal(res.value.array, brute_force_mems(R, Q, L))
+        assert len(packs["pack_codes"]) == 1 + len(queries)
+        assert packs["words"] == 2 * (1 + len(queries))
+
+    def test_run_without_session_packs_each_sequence_once(self, packs):
+        R, queries = self._inputs()
+        result = GpuMem(_params()).find_mems(R, queries[0])
+        assert mems_equal(result.array, brute_force_mems(R, queries[0], L))
+        assert len(packs["pack_codes"]) == 2 and packs["words"] == 4
+
+
 class TestPipelineStatsContract:
     def test_matcher_stats_defined_before_first_call(self):
         g = GpuMem(_params())

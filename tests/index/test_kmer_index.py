@@ -97,6 +97,34 @@ class TestBuildIndex:
                       if km[p] == s]
             assert idx.locations_of(s).tolist() == expect
 
+    @pytest.mark.parametrize(
+        "n, tile, ls, step",
+        [
+            (1000, 128, 6, 11),  # Δs does not divide ℓtile
+            (1000, 100, 6, 7),  # last row is partial
+            (999, 111, 8, 40),  # ragged last row
+            (64, 32, 8, 5),  # windows of the last grid points cross row ends
+        ],
+    )
+    def test_row_window_encoding_equals_whole_reference(self, n, tile, ls, step):
+        # Each row encodes only its own window; the index must be the one a
+        # whole-reference encoding gives, for every row including the last.
+        codes = np.random.default_rng(n + step).integers(0, 4, n).astype(np.uint8)
+        whole = kmer_codes(codes, ls)
+        crossing = 0
+        for r0 in range(0, n, tile):
+            r1 = min(r0 + tile, n)
+            idx = build_kmer_index(
+                codes, seed_length=ls, step=step, region_start=r0, region_end=r1
+            )
+            positions = [p for p in range(r0, min(r1, n - ls + 1)) if p % step == 0]
+            assert sorted(idx.locs.tolist()) == positions
+            for s in np.unique(whole[positions]) if positions else []:
+                expect = [p for p in positions if whole[p] == s]
+                assert idx.locations_of(int(s)).tolist() == expect
+            crossing += bool(positions) and positions[-1] + ls > r1
+        assert crossing  # some seed window reads past its row's end
+
     def test_full_index_when_step_one(self):
         codes = np.arange(12, dtype=np.uint8) % 4
         idx = build_kmer_index(codes, seed_length=3, step=1)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import InvalidSequenceError
 from repro.sequence.packed import (
-    BASES_PER_LIMB,
     PackedSequence,
     SharedSequenceHandle,
     kmer_codes,
@@ -117,26 +116,6 @@ class TestPackedSequence:
 
     def test_repr_contains_length(self):
         assert "n=4" in repr(PackedSequence("ACGT"))
-
-    def test_limbs_prefix_ordering(self):
-        # limb value of a 32-base window preserves lexicographic order
-        a = PackedSequence("A" * 10 + "C" + "A" * 30)
-        b = PackedSequence("A" * 10 + "G" + "A" * 30)
-        la = a.limbs(np.array([0]), 1)[0, 0]
-        lb = b.limbs(np.array([0]), 1)[0, 0]
-        assert la < lb
-
-    def test_limbs_shape(self):
-        seq = PackedSequence("ACGT" * 20)
-        out = seq.limbs(np.array([0, 5, 40]), 2)
-        assert out.shape == (3, 2)
-        assert out.dtype == np.uint64
-
-    def test_limbs_zero_padding_at_end(self):
-        seq = PackedSequence("T")
-        limb = seq.limbs(np.array([0]), 1)[0, 0]
-        # T=3 in the top 2 bits, rest zero-padded
-        assert limb == np.uint64(3) << np.uint64(2 * (BASES_PER_LIMB - 1))
 
 
 class TestFromPacked:
