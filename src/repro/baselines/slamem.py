@@ -48,16 +48,15 @@ class SlaMemFinder(MEMFinder):
 
     def _build(self, reference: np.ndarray) -> None:
         self._fm = FMIndex(reference, occ_rate=self.occ_rate, sa_rate=self.sa_rate)
-        # LCP over the FM suffix array (sentinel-terminated text). The
-        # sentinel suffix contributes LCP 0 everywhere, which is exactly
-        # right for parent-interval navigation.
+        # LCP over the FM suffix array of the sentinel-terminated text. The
+        # comparison clips runs at the end of the reference, which is what
+        # the unique sentinel does, and the sentinel suffix (position n)
+        # contributes LCP 0 everywhere, exactly right for parent-interval
+        # navigation.
         sa = self._fm.full_suffix_array()
         # full_suffix_array is only materialized to build the LCP intervals
         # (slaMEM builds its sampled LCP at construction time, same phase).
-        text = np.empty(reference.size + 1, dtype=np.uint8)
-        text[:-1] = reference + 1
-        text[-1] = 0
-        self._intervals = LCPIntervals(lcp_array(text, sa))
+        self._intervals = LCPIntervals(lcp_array(reference, sa))
         self._sa_cache = sa
 
     def index_bytes(self) -> int:

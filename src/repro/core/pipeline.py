@@ -388,13 +388,13 @@ class Pipeline:
         row: int,
         cache=None,
         *,
-        packed_reference: PackedCodes | None = None,
-        packed_query: PackedCodes | None = None,
+        packed_reference: PackedCodes,
+        packed_query: PackedCodes,
     ) -> RowResult:
         """One independent work unit: index + match all tiles of ``row``.
 
-        The tile stage compares the packings when given (the caller packs
-        each sequence once for all its rows) and the code arrays otherwise.
+        The tile stage compares the packings (the caller packs each sequence
+        once for all its rows).
         """
         tracer = self.tracer
         with tracer.span("stage:row_index", cat="pipeline", row=row) as sp:
@@ -405,9 +405,7 @@ class Pipeline:
         t0 = time.perf_counter()
         with tracer.span("stage:tile_match", cat="pipeline", row=row) as sp:
             in_tile, out_tile, n_candidates = self.tile_match.run(
-                reference if packed_reference is None else packed_reference,
-                query if packed_query is None else packed_query,
-                query_kmers, plan, row, index,
+                packed_reference, packed_query, query_kmers, plan, row, index,
             )
             sp.set(n_candidates=n_candidates, n_in_tile=int(in_tile.size))
         return RowResult(

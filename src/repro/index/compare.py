@@ -20,8 +20,8 @@ so no sentinel bases are needed) or at ``limit``. Total work is
 ``O(sum of agreement lengths / 32 + n_pairs)`` word operations; batches are
 split so scratch memory stays bounded.
 
-Each sequence operand is either a base-code array (values 0..3), packed on
-the call, or a :class:`PackedCodes` made once by :func:`pack_codes` and
+Each sequence operand is either a base-code array (values 0..3; other
+values are rejected, they do not fit a 2-bit slot), packed on the call, or a :class:`PackedCodes` made once by :func:`pack_codes` and
 reused by every call — the pipeline packs the reference once per session
 and the query once per run.
 """
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import InvalidSequenceError
 from repro.sequence.packed import pack_bits
 
 #: Bases per packed word.
@@ -71,9 +72,19 @@ def _words(codes: np.ndarray) -> np.ndarray:
     return words
 
 
+def _codes(seq) -> np.ndarray:
+    """``seq`` as a contiguous code array; rejects codes a 2-bit slot cannot hold."""
+    codes = np.ascontiguousarray(seq, dtype=np.uint8)
+    if codes.size and int(codes.max()) > 3:
+        raise InvalidSequenceError(
+            f"base codes must be 0..3 for 2-bit comparison, got {int(codes.max())}"
+        )
+    return codes
+
+
 def pack_codes(codes) -> PackedCodes:
     """Pack a base-code array (values 0..3) for repeated comparison."""
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    codes = _codes(codes)
     return PackedCodes(int(codes.size), _words(codes), _words(codes[::-1]))
 
 
@@ -81,8 +92,15 @@ def _operand(seq, reverse: bool) -> tuple[np.ndarray, int]:
     """``(words, n)`` of one operand in the requested direction."""
     if isinstance(seq, PackedCodes):
         return (seq.rev if reverse else seq.fwd), seq.n
-    codes = np.ascontiguousarray(seq, dtype=np.uint8)
+    codes = _codes(seq)
     return _words(codes[::-1] if reverse else codes), int(codes.size)
+
+
+def _operands(a, b, reverse: bool) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """Both operands; one sequence compared with itself is packed once."""
+    wa, na = _operand(a, reverse)
+    wb, nb = (wa, na) if b is a else _operand(b, reverse)
+    return wa, na, wb, nb
 
 
 def _window(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -144,8 +162,7 @@ def common_prefix_len(a, b, pa, pb, *, limit: int | None = None) -> np.ndarray:
     end of their sequence yield 0. With ``limit`` the result is capped (and
     the scan stops early, so capping is also an optimization).
     """
-    wa, na = _operand(a, reverse=False)
-    wb, nb = _operand(b, reverse=False)
+    wa, na, wb, nb = _operands(a, b, reverse=False)
     return _agreement(wa, na, wb, nb, pa, pb, limit)
 
 
@@ -157,8 +174,7 @@ def common_suffix_len(a, b, pa, pb, *, limit: int | None = None) -> np.ndarray:
     grow to the left. It runs the prefix kernel on the reversed words at
     mirrored positions.
     """
-    wa, na = _operand(a, reverse=True)
-    wb, nb = _operand(b, reverse=True)
+    wa, na, wb, nb = _operands(a, b, reverse=True)
     pa = np.asarray(pa, dtype=np.int64)
     pb = np.asarray(pb, dtype=np.int64)
     return _agreement(wa, na, wb, nb, na - pa, nb - pb, limit)
@@ -180,8 +196,7 @@ def compare_positions(a, b, pa, pb) -> np.ndarray:
     shorter one is smaller (matching the suffix-array convention with a
     virtual end-of-string sentinel smaller than every base).
     """
-    wa, na = _operand(a, reverse=False)
-    wb, nb = _operand(b, reverse=False)
+    wa, na, wb, nb = _operands(a, b, reverse=False)
     pa = np.asarray(pa, dtype=np.int64)
     pb = np.asarray(pb, dtype=np.int64)
     lcp = _agreement(wa, na, wb, nb, pa, pb, None)

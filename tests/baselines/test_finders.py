@@ -13,6 +13,7 @@ from repro.baselines import (
 )
 from repro.core.reference import brute_force_mems
 from repro.errors import GpuMemError, InvalidParameterError
+from repro.index.lcp import naive_lcp_array
 from repro.types import mems_equal
 
 from tests.conftest import dna_pair
@@ -122,6 +123,26 @@ class TestSlaMemSpecifics:
         f = SlaMemFinder()
         f.build_index(R)
         assert f.index_bytes() > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(dna_pair(max_size=120, alphabet=4), st.integers(3, 8))
+    def test_equal_to_brute_force_on_four_letters(self, pair, L):
+        # Every base, T (code 3) included, must reach the LCP intervals
+        # intact; the shared property test above draws from 3 letters.
+        R, Q = pair
+        f = SlaMemFinder(occ_rate=16, sa_rate=8)
+        f.build_index(R)
+        assert mems_equal(f.find_mems(Q, L).mems.array, brute_force_mems(R, Q, L))
+
+    def test_lcp_intervals_see_t(self):
+        # "TT" vs "TA" share one base, not two; the LCP over the FM suffix
+        # array must match the character-by-character one.
+        R = np.array([3, 3, 0, 3, 0, 3, 3, 1], dtype=np.uint8)
+        f = SlaMemFinder()
+        f.build_index(R)
+        sa = f._sa_cache
+        text = np.append(R + 1, 0).astype(np.uint8)
+        assert f._intervals.lcp.tolist() == naive_lcp_array(text, sa).tolist()
 
     def test_query_with_absent_symbols(self):
         # reference lacks T entirely; matching statistics must shorten safely

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import InvalidSequenceError
 from repro.index.compare import (
     WORD_BASES,
     PackedCodes,
@@ -79,6 +80,30 @@ class TestPackCodes:
             packed.n = 6
         with pytest.raises(ValueError):
             packed.fwd[0] = 1
+
+    @pytest.mark.parametrize("fn", [common_prefix_len, common_suffix_len, compare_positions])
+    def test_codes_above_3_are_rejected(self, fn):
+        # A 2-bit slot cannot hold them: 4 would pack as 0 and spill into
+        # the neighbouring base, so "TT" (4, 4) would agree with "TA" (4, 1).
+        a = np.array([4, 4], dtype=np.uint8)
+        b = np.array([4, 1], dtype=np.uint8)
+        with pytest.raises(InvalidSequenceError):
+            fn(a, b, [0], [0])
+        with pytest.raises(InvalidSequenceError):
+            fn(random_codes(8, 2), a, [0], [0])
+        with pytest.raises(InvalidSequenceError):
+            pack_codes(a)
+
+    def test_self_comparison_packs_once(self, monkeypatch):
+        import repro.index.compare as compare
+
+        calls = []
+        real = compare._words
+        monkeypatch.setattr(compare, "_words", lambda c: calls.append(1) or real(c))
+        codes = random_codes(100, 3)
+        got = common_prefix_len(codes, codes, [0, 5], [0, 7])
+        assert len(calls) == 1
+        assert got.tolist() == [100, naive_cpl(codes, codes, 5, 7)]
 
 
 class TestCommonPrefixLen:
