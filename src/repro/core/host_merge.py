@@ -16,24 +16,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index.compare import common_prefix_len, common_suffix_len
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets, sort_mems, unique_mems
 
 
 def combine_diagonal(triplets: np.ndarray) -> np.ndarray:
     """Merge overlapping/adjacent triplets on equal diagonals.
 
     Implements the paper's overlap rule ``0 < (r' - r) = (q' - q) <= λ``
-    transitively: after sorting by ``(r - q, q)``, connected overlap chains
-    collapse to ``(min start, max end)``. Fully vectorized via a segmented
-    running maximum of chain ends.
+    transitively: after :func:`~repro.types.sort_mems`, connected overlap
+    chains collapse to ``(min start, max end)``. Fully vectorized via a
+    segmented running maximum of chain ends.
     """
     if triplets.size == 0:
         return empty_triplets()
-    diag = triplets["r"] - triplets["q"]
-    order = np.lexsort((triplets["q"], diag))
-    t = triplets[order]
-    diag = diag[order]
+    t = sort_mems(triplets)
     q = t["q"]
+    diag = t["r"] - q
     end = q + t["length"]
 
     # Segmented cumulative max of `end` within each diagonal group: offset

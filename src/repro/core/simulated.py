@@ -24,7 +24,7 @@ from repro.core.tiling import TilePlan
 from repro.gpu.device import TESLA_K20C, DeviceSpec
 from repro.gpu.kernel import Device
 from repro.obs.tracer import Tracer, get_tracer
-from repro.types import concat_triplets, triplets_from_tuples
+from repro.types import concat_triplets, triplets_from_tuples, unique_mems
 
 #: Bytes per transferred triplet: three 64-bit fields (the paper packs
 #: tighter; the constant only scales the modeled copy time).
@@ -155,7 +155,7 @@ def simulated_find_mems(
                         [t for lst in task.in_block.values() for t in lst]
                     )
                     if in_block.size:
-                        in_parts.append(np.unique(in_block))
+                        in_parts.append(unique_mems(in_block))
                         _charge_transfer(
                             dev, "memcpy:in-block", int(in_block.size)
                         )

@@ -1,10 +1,10 @@
 """Tile-level combining of out-block triplets (paper §III-C1).
 
 The out-block triplets of one tile's blocks are sorted by ``r − q`` (ties on
-``q``), combined along diagonals, re-expanded to maximality within the tile
-box, and split into *in-tile* MEMs (final — moved to the host for
-reporting) and *out-tile* triplets (appended to the global list merged at
-the very end, §III-C2).
+``q``, then length), combined along diagonals, re-expanded to maximality
+within the tile box, and split into *in-tile* MEMs (final — moved to the
+host for reporting) and *out-tile* triplets (appended to the global list
+merged at the very end, §III-C2).
 
 The sort/combine here is vectorized with an analytic device-cost charge
 (the paper assigns a parallel sort plus one thread per block strip; we
@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.host_merge import combine_diagonal
 from repro.core.tiling import Tile
 from repro.index.compare import common_prefix_len, common_suffix_len
-from repro.types import empty_triplets, make_triplets
+from repro.types import empty_triplets, make_triplets, unique_mems
 
 
 def expand_triplets_in_box(
@@ -59,13 +59,7 @@ def expand_triplets_in_box(
     ops = int(le.sum() + re.sum()) + 2 * r.size
     out = make_triplets(r - le_c, q - le_c, lam + le_c + re_c)
     touching = touch_left | touch_right
-    inside = out[~touching]
-    if inside.size:
-        inside = np.unique(inside)
-    boundary = out[touching]
-    if boundary.size:
-        boundary = np.unique(boundary)
-    return inside, boundary, ops
+    return unique_mems(out[~touching]), unique_mems(out[touching]), ops
 
 
 def tile_combine(

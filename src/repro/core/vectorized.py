@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.tiling import Tile
 from repro.index.compare import common_prefix_len, common_suffix_len
 from repro.index.kmer_index import KmerSeedIndex
-from repro.types import empty_triplets, make_triplets
+from repro.types import empty_triplets, make_triplets, unique_mems
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,12 +135,8 @@ def extend_and_classify(
     trips = make_triplets(r - le, q - le, length)
     touching = touching_left | touching_right
 
-    in_tile = trips[~touching & (length >= min_length)]
-    out_tile = trips[touching]
-    if in_tile.size:
-        in_tile = np.unique(in_tile)
-    if out_tile.size:
-        out_tile = np.unique(out_tile)
+    in_tile = unique_mems(trips[~touching & (length >= min_length)])
+    out_tile = unique_mems(trips[touching])
     return TileStageResult(in_tile=in_tile, out_tile=out_tile, n_candidates=n_cand)
 
 

@@ -6,7 +6,11 @@ triplet ``(r, q, length)`` meaning
 boundaries) immediately to the left and right.
 
 Triplets are stored in NumPy structured arrays so that the whole pipeline —
-generation, combining, sorting by diagonal — stays vectorized.
+generation, combining, sorting by diagonal — stays vectorized. Every triplet
+sort orders by ``(r − q, q, length)`` — diagonal first, as in the paper's
+§III-C — through one scalar ``int64`` key built from the array's own value
+ranges (:func:`diagonal_key`), so sorting and deduplication are a plain
+integer sort instead of a per-field record compare.
 """
 
 from __future__ import annotations
@@ -51,24 +55,63 @@ def concat_triplets(parts: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def diagonal_key(mems: np.ndarray) -> np.ndarray | None:
+    """One ``int64`` per triplet that orders like ``(r − q, q, length)``.
+
+    ``((r − q − d0)·nq + (q − q0))·nl + (length − l0)``, with offsets and
+    widths from the array's minima and maxima, so equal keys mean equal
+    triplets. ``None`` when the key could pass 2⁶³ − 1 (checked with exact
+    ints). ``mems`` must be non-empty.
+    """
+    diag = mems["r"] - mems["q"]
+    q = mems["q"]
+    length = mems["length"]
+    d0, q0, l0 = int(diag.min()), int(q.min()), int(length.min())
+    nd = int(diag.max()) - d0 + 1
+    nq = int(q.max()) - q0 + 1
+    nl = int(length.max()) - l0 + 1
+    if nd * nq * nl > 2**63:  # the largest key, nd·nq·nl − 1, must fit
+        return None
+    key = diag
+    key -= d0
+    key *= nq
+    key += q - q0
+    key *= nl
+    key += length - l0
+    return key
+
+
+def _diagonal_order(mems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation into key order, plus values in that order that are
+    equal between neighbours exactly when their triplets are (the sorted
+    key, or the rows themselves in the ``np.lexsort`` overflow fallback)."""
+    key = diagonal_key(mems)
+    if key is None:
+        order = np.lexsort((mems["length"], mems["q"], mems["r"] - mems["q"]))
+        return order, mems[order]
+    order = np.argsort(key)  # ties are identical rows: stability is moot
+    return order, key[order]
+
+
 def sort_mems(mems: np.ndarray) -> np.ndarray:
-    """Sort triplets by ``(r - q, q)`` — the paper's §III-C1 diagonal order.
+    """Sort triplets by ``(r − q, q, length)`` — the paper's §III-C1 order.
 
     Overlapping triplets on the same diagonal become adjacent, which is what
     makes the scan-combine at tile and host level correct.
     """
-    if mems.size == 0:
+    if mems.size < 2:
         return mems.copy()
-    diag = mems["r"] - mems["q"]
-    order = np.lexsort((mems["q"], diag))
-    return mems[order]
+    return mems[_diagonal_order(mems)[0]]
 
 
 def unique_mems(mems: np.ndarray) -> np.ndarray:
     """Drop exact duplicate triplets; returns diagonal-sorted output."""
-    if mems.size == 0:
+    if mems.size < 2:
         return mems.copy()
-    return sort_mems(np.unique(mems))
+    order, values = _diagonal_order(mems)
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return mems[order[keep]]
 
 
 def mems_equal(a: np.ndarray, b: np.ndarray) -> bool:

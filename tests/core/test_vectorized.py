@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.host_merge import host_merge
+from repro.core.reference import brute_force_mems
 from repro.core.tiling import Tile
 from repro.core.vectorized import (
     expand_ranges,
@@ -12,6 +14,7 @@ from repro.core.vectorized import (
 )
 from repro.index.kmer_index import build_kmer_index
 from repro.sequence.packed import kmer_codes
+from repro.types import concat_triplets, mems_equal, unique_mems
 
 from tests.conftest import dna
 
@@ -48,6 +51,48 @@ class TestExpandRanges:
 
 def full_tile(nr, nq):
     return Tile(row=0, col=0, r_start=0, r_end=nr, q_start=0, q_end=nq)
+
+
+def naive_seed_hits(R, Q, tile, ls):
+    """Every ``(r, q)`` in the tile box whose ``ls``-windows agree."""
+    pairs = [
+        (r, q)
+        for r in range(tile.r_start, min(tile.r_end, R.size - ls + 1))
+        for q in range(tile.q_start, min(tile.q_end, Q.size - ls + 1))
+        if np.array_equal(R[r : r + ls], Q[q : q + ls])
+    ]
+    r, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return r.copy(), q.copy()
+
+
+def naive_extend(R, Q, tile, r, q, ls, L):
+    """Loop version of ``extend_and_classify``: (in-tile set, out-tile set)."""
+    in_tile, out_tile = set(), set()
+    for rr, qq in zip(r.tolist(), q.tolist(), strict=True):
+        le = 0
+        while rr - le > 0 and qq - le > 0 and R[rr - le - 1] == Q[qq - le - 1]:
+            le += 1
+        re = 0
+        while (
+            rr + ls + re < R.size
+            and qq + ls + re < Q.size
+            and R[rr + ls + re] == Q[qq + ls + re]
+        ):
+            re += 1
+        dl = min(rr - tile.r_start, qq - tile.q_start)
+        cap = min(tile.r_end - rr, tile.q_end - qq) - ls
+        touching = le > dl or re > cap
+        le, re = min(le, dl), min(re, max(cap, 0))
+        trip = (rr - le, qq - le, ls + le + re)
+        if touching:
+            out_tile.add(trip)
+        elif trip[2] >= L:
+            in_tile.add(trip)
+    return in_tile, out_tile
+
+
+def as_set(triplets):
+    return {tuple(map(int, m)) for m in triplets}
 
 
 class TestTileCandidates:
@@ -150,22 +195,63 @@ class TestExtendAndClassify:
         assert res.in_tile.size == 0 and res.out_tile.size == 0
 
 
+class TestTripletOrder:
+    """Per-tile outputs are sets in diagonal-major (``unique_mems``) order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dna(min_size=8, max_size=60, alphabet=2),
+           dna(min_size=8, max_size=60, alphabet=2), st.data())
+    def test_same_sets_whatever_the_candidate_order(self, R, Q, data):
+        ls, L = 2, 3
+        r0 = data.draw(st.integers(0, R.size - 1))
+        q0 = data.draw(st.integers(0, Q.size - 1))
+        tile = Tile(row=0, col=0, r_start=r0, r_end=min(r0 + 16, R.size),
+                    q_start=q0, q_end=min(q0 + 16, Q.size))
+        r, q = naive_seed_hits(R, Q, tile, ls)
+        res = extend_and_classify(R, Q, tile, r, q, ls, L)
+        expect_in, expect_out = naive_extend(R, Q, tile, r, q, ls, L)
+        assert as_set(res.in_tile) == expect_in
+        assert as_set(res.out_tile) == expect_out
+        for part in (res.in_tile, res.out_tile):
+            assert part.tobytes() == unique_mems(part).tobytes()
+        perm = np.array(data.draw(st.permutations(range(r.size))), dtype=np.int64)
+        shuffled = extend_and_classify(R, Q, tile, r[perm], q[perm], ls, L)
+        assert shuffled.in_tile.tobytes() == res.in_tile.tobytes()
+        assert shuffled.out_tile.tobytes() == res.out_tile.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dna(min_size=8, max_size=60, alphabet=2),
+           dna(min_size=8, max_size=60, alphabet=2), st.data())
+    def test_host_merge_ignores_out_tile_order(self, R, Q, data):
+        ls, L, size = 2, 3, 12
+        in_parts, out_parts = [], []
+        for r0 in range(0, R.size, size):
+            for q0 in range(0, Q.size, size):
+                tile = Tile(row=0, col=0, r_start=r0, r_end=min(r0 + size, R.size),
+                            q_start=q0, q_end=min(q0 + size, Q.size))
+                r, q = naive_seed_hits(R, Q, tile, ls)
+                res = extend_and_classify(R, Q, tile, r, q, ls, L)
+                in_parts.append(res.in_tile)
+                out_parts.append(res.out_tile)
+        out_tile = concat_triplets(out_parts)
+        crossing = host_merge(R, Q, out_tile, L)
+        perm = np.array(data.draw(st.permutations(range(out_tile.size))), dtype=np.int64)
+        assert host_merge(R, Q, out_tile[perm], L).tobytes() == crossing.tobytes()
+        assert mems_equal(concat_triplets(in_parts + [crossing]),
+                          brute_force_mems(R, Q, L))
+
+
 class TestStageTile:
     @settings(max_examples=40, deadline=None)
     @given(dna(min_size=8, max_size=80, alphabet=2), dna(min_size=8, max_size=80, alphabet=2))
     def test_full_tile_equals_brute_force(self, R, Q):
         """With one tile covering everything and step=1, the stage alone
         must produce exactly the brute-force MEM set."""
-        from repro.core.reference import brute_force_mems
-        from repro.types import mems_equal, concat_triplets
-
         ls, L = 2, 3
         idx = build_kmer_index(R, seed_length=ls, step=1)
         qk = kmer_codes(Q, ls) if Q.size >= ls else np.empty(0, dtype=np.int64)
         res = stage_tile(R, Q, qk, full_tile(R.size, Q.size), idx, L)
         # the whole space is one tile: in_tile + re-extended out_tile == all
-        from repro.core.host_merge import host_merge
-
         crossing = host_merge(R, Q, res.out_tile, L)
         got = concat_triplets([res.in_tile, crossing])
         assert mems_equal(got, brute_force_mems(R, Q, L))

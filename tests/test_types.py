@@ -1,12 +1,16 @@
 """Tests for repro.types."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.types import (
     TRIPLET_DTYPE,
     MatchSet,
     concat_triplets,
+    diagonal_key,
     empty_triplets,
     make_triplets,
     mems_equal,
@@ -14,6 +18,38 @@ from repro.types import (
     triplets_from_tuples,
     unique_mems,
 )
+
+
+def sort_mems_old(mems):
+    """The structured-array definition the int64 key replaced (oracle)."""
+    if mems.size == 0:
+        return mems.copy()
+    diag = mems["r"] - mems["q"]
+    return mems[np.lexsort((mems["q"], diag))]
+
+
+@st.composite
+def triplet_arrays(draw, coord=st.integers(0, 60), max_rows=30):
+    """Shuffled triplets with exact duplicates and same-``(r, q)`` rows.
+
+    ``q`` may exceed ``r``, so diagonals go negative; empty and one-row
+    arrays are in range.
+    """
+    rows = draw(st.lists(
+        st.tuples(coord, coord, st.integers(1, 8)), max_size=max_rows
+    ))
+    if rows:
+        # (source row, length change): 0 copies it exactly, anything else
+        # keeps its diagonal and q but changes the length.
+        extra = draw(st.lists(
+            st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3)),
+            max_size=max_rows,
+        ))
+        for i, dl in extra:
+            r, q, length = rows[i]
+            rows.append((r, q, max(1, length + dl)))
+    rows = draw(st.permutations(rows))
+    return triplets_from_tuples(rows)
 
 
 class TestTriplets:
@@ -58,6 +94,33 @@ class TestSorting:
     def test_unique_drops_duplicates(self):
         t = make_triplets([1, 1, 2], [1, 1, 2], [3, 3, 3])
         assert unique_mems(t).size == 2
+
+    @settings(max_examples=200)
+    @given(triplet_arrays())
+    def test_unique_matches_structured_oracle(self, x):
+        got = unique_mems(x)
+        assert got.tobytes() == sort_mems_old(np.unique(x)).tobytes()
+        assert unique_mems(got).tobytes() == got.tobytes()
+
+    @settings(max_examples=100)
+    @given(triplet_arrays())
+    def test_sort_is_lexsort_on_diagonal_q_length(self, x):
+        expect = x[np.lexsort((x["length"], x["q"], x["r"] - x["q"]))]
+        assert sort_mems(x).tobytes() == expect.tobytes()
+
+    @settings(max_examples=100)
+    @given(triplet_arrays(coord=st.integers(2**40, 2**62), max_rows=10))
+    def test_huge_coordinates_take_the_lexsort_fallback(self, x):
+        # Two far-apart anchors force a key range past 2**63.
+        x = concat_triplets(
+            [x, make_triplets([2**62, 2**40], [2**40, 2**62], [1, 1])]
+        )
+        assert diagonal_key(x) is None
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as fallback:
+            got = unique_mems(x)
+        assert fallback.call_count == 1
+        assert got.tobytes() == sort_mems_old(np.unique(x)).tobytes()
+        assert unique_mems(got).tobytes() == got.tobytes()
 
     def test_mems_equal_order_insensitive(self):
         a = make_triplets([1, 2], [1, 2], [3, 3])
