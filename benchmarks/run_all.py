@@ -25,7 +25,6 @@ from pathlib import Path
 sys.path.insert(0, os.path.dirname(__file__))
 
 import bench_ablation_devices
-import bench_ablation_multidevice
 import bench_ablation_sparsity
 import bench_ablation_tiling
 import bench_batch_throughput
@@ -53,7 +52,6 @@ TARGETS = [
     ("fig7_load_balancing", bench_fig7_load_balancing.generate_series),
     ("ablation_sparsity", bench_ablation_sparsity.generate_series),
     ("ablation_tiling", bench_ablation_tiling.generate_series),
-    ("ablation_multidevice", bench_ablation_multidevice.generate_series),
     ("sa_builders", bench_sa_builders.generate_series),
     ("ablation_devices", bench_ablation_devices.generate_series),
     ("session_reuse", bench_session_reuse.generate_series),

@@ -25,7 +25,7 @@ and contention counters, wait-time histograms) into an
 traced batch run shows where threads queue.
 
 Injection points: :class:`repro.core.session.MemSession`,
-:class:`repro.core.batch.BatchRunner` and the row executors create their
+:class:`repro.core.batch.BatchRunner` and :class:`repro.core.serve.MemServer` create their
 locks through :func:`new_lock`, which consults the installed tracker (or
 the ``REPRO_LOCK_TRACKER=1`` environment switch — how CI runs the core
 suites under the tracker). Tests use the ``lock_tracker`` fixture from
@@ -463,7 +463,7 @@ def active_tracker() -> LockTracker | None:
 def new_lock(name: str) -> "threading.Lock | TrackedLock":
     """A lock from the active tracker, or a plain ``threading.Lock``.
 
-    This is the library's injection seam: session/batch/executor code
+    This is the library's injection seam: session/batch/serve code
     calls ``new_lock("session.cache")`` instead of ``threading.Lock()``
     and pays one function call extra when no tracker is installed.
     """

@@ -9,7 +9,7 @@ Two ways in (mirroring ``pytest_sanitizer``'s device fixtures):
 - Take the ``lock_tracker`` fixture: a fresh raise-mode
   :class:`repro.analysis.lock_tracker.LockTracker` is installed as the
   process lock factory (with blocking probes), so every
-  ``MemSession``/``BatchRunner``/executor lock the test creates is
+  ``MemSession``/``BatchRunner``/``MemServer`` lock the test creates is
   tracked. Lock-order inversions raise
   :class:`repro.errors.LockOrderError` at the offending acquisition; any
   findings left at teardown (hold-while-blocked is collect-only) fail the

@@ -33,6 +33,8 @@ import sys
 
 import numpy as np
 
+from repro.core.params import EXECUTOR_NAMES
+
 
 def _read_single_fasta(path: str, invalid: str) -> np.ndarray:
     from repro.sequence.fasta import read_fasta
@@ -56,14 +58,12 @@ def _add_match_args(p: argparse.ArgumentParser) -> None:
                    help="indexing step Δs (default: the Eq. 1 maximum)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
-    p.add_argument("--executor",
-                   choices=("serial", "threads", "banded", "process"),
-                   default="serial",
-                   help="row executor of the staged pipeline (default serial)")
+    p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
+                   help="run tile rows in-process (serial, the default) or "
+                        "as row bands on worker processes (process)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="thread count (--executor threads), band count "
-                        "(--executor banded) or process count "
-                        "(--executor process); default per executor")
+                   help="process count of --executor process "
+                        "(default: CPU count, capped at 8)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="record a Chrome-trace JSON of the run "
                         "(chrome://tracing / Perfetto; inspect with "
@@ -715,12 +715,10 @@ def main(argv=None) -> int:
                         "(default 200)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
-    p.add_argument("--executor",
-                   choices=("serial", "threads", "banded", "process"),
-                   default="serial",
+    p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
                    help="row executor inside each query (default serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="row-executor width (threads/bands per query)")
+                   help="process count of --executor process, per query")
     p.add_argument("--batch-workers", type=int, default=None, metavar="N",
                    help="concurrent reads (default: CPU count, capped at 8)")
     p.add_argument("--max-in-flight", type=int, default=None, metavar="N",

@@ -11,9 +11,9 @@ Public surface:
   many-query workloads (build the reference's row indexes once).
 - :class:`~repro.core.pipeline.Pipeline` /
   :class:`~repro.core.pipeline.PipelineStats` — the staged extraction
-  engine and its typed statistics.
-- Executors (:mod:`repro.core.executors`) — serial / thread-pool / banded /
-  process strategies over independent tile rows.
+  engine and its typed statistics. ``GpuMemParams(executor=...)`` runs its
+  independent tile rows in-process (``"serial"``) or as row bands on the
+  worker processes of :mod:`repro.core.procpool` (``"process"``).
 - :class:`~repro.core.serve.MemServer` — long-lived serving front end with
   admission control and graceful drain (the ``gpumem serve`` engine).
 - :func:`~repro.core.reference.brute_force_mems` — independent ground truth.
@@ -22,16 +22,8 @@ Public surface:
 from repro.core.batch import BatchError, BatchResult, BatchRunner, find_mems_batch
 from repro.core.chaining import Chain, chain_anchors
 from repro.core.distance import distance_matrix, mem_coverage, mem_distance
-from repro.core.executors import (
-    BandedExecutor,
-    ProcessPoolRowExecutor,
-    SerialExecutor,
-    ThreadPoolRowExecutor,
-    make_executor,
-)
 from repro.core.mapping import ReadMapper, ReadMapping
 from repro.core.matcher import GpuMem, find_mems
-from repro.core.multi_device import find_mems_multi_device
 from repro.core.params import GpuMemParams
 from repro.core.pipeline import Pipeline, PipelineStats
 from repro.core.reference import brute_force_mems
@@ -63,11 +55,6 @@ __all__ = [
     "find_mems_batch",
     "get_session",
     "clear_session_cache",
-    "SerialExecutor",
-    "ThreadPoolRowExecutor",
-    "BandedExecutor",
-    "ProcessPoolRowExecutor",
-    "make_executor",
     "MemServer",
     "ServeResult",
     "find_mums",
@@ -79,7 +66,6 @@ __all__ = [
     "SyntenyBlock",
     "synteny_blocks",
     "block_coverage",
-    "find_mems_multi_device",
     "ReadMapper",
     "ReadMapping",
     "mem_coverage",

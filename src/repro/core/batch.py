@@ -9,12 +9,11 @@ the GIL. :class:`BatchRunner` is that layer, shaped like an inference
 engine's batch scheduler over a warm model:
 
 - **query-level parallelism in two tiers** — ``tier="thread"`` (default)
-  composes a thread pool with the session's row executors (rows
-  parallelize *inside* a query, the runner parallelizes *across*
-  queries); ``tier="process"`` ships whole queries to the worker-process
-  pool of :mod:`repro.core.procpool` (true multi-core: workers attach to
-  the shared 2-bit reference by name and serve from their own warm
-  per-process sessions);
+  runs queries on a thread pool over the shared session (each query runs
+  its rows with the session's ``executor``); ``tier="process"`` ships
+  whole queries to the worker-process pool of :mod:`repro.core.procpool`
+  (true multi-core: workers attach to the shared 2-bit reference by name
+  and serve from their own warm per-process sessions);
 - **bounded in-flight work** — submission blocks once ``max_in_flight``
   queries are pending, so a streaming producer (e.g.
   :func:`repro.sequence.fasta.iter_fasta` over a 10M-read file) is
@@ -144,9 +143,8 @@ class BatchRunner:
         (``min_length=...``, ``executor=...``, ...). Invalid alongside an
         existing session.
     workers:
-        Query-level pool width. In the thread tier this composes with the
-        session's row executor: each in-flight query still fans its tile
-        rows out through the executor it was configured with. In the
+        Query-level pool width. In the thread tier each in-flight query
+        still runs its tile rows with the session's ``executor``. In the
         process tier it is the worker-process count (rows run serially
         inside each worker).
     tier:

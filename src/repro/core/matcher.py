@@ -36,7 +36,7 @@ class GpuMem:
         GpuMem(min_length=50)                     # paper defaults
         GpuMem(GpuMemParams(min_length=50, seed_length=10))
         GpuMem(min_length=50, backend="simulated", load_balancing=False)
-        GpuMem(min_length=50, executor="threads", workers=4)
+        GpuMem(min_length=50, executor="process", workers=4)
         GpuMem(min_length=50, tracer=Tracer())   # record spans + metrics
     """
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from repro.core.executors import EXECUTOR_NAMES
 from repro.errors import InvalidParameterError
 from repro.index.kmer_index import max_step, validate_sparsity
 
@@ -35,6 +34,10 @@ MAX_SEED_LENGTH = 13
 
 #: Supported backends of :class:`repro.core.matcher.GpuMem`.
 BACKENDS = ("vectorized", "simulated")
+
+#: How the pipeline runs its tile rows: in-process, one after another, or
+#: as contiguous bands on the worker processes of :mod:`repro.core.procpool`.
+EXECUTOR_NAMES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -49,13 +52,13 @@ class GpuMemParams:
     work_per_thread: int | None = None
     load_balancing: bool = True
     backend: str = "vectorized"
-    #: Row executor of the staged pipeline: "serial", "threads", or "banded".
+    #: Row executor of the staged pipeline: "serial" or "process".
     #: ``None`` resolves to the ``REPRO_EXECUTOR`` environment variable
-    #: (default "serial") — the knob CI's threaded tier-1 leg uses to run
-    #: the whole suite under ``executor=threads``.
+    #: (default "serial") — the knob CI's process-tier leg uses to run the
+    #: whole core suite under ``executor=process``.
     executor: str | None = None
-    #: Pool width ("threads") or band count ("banded"); ``None`` resolves to
-    #: ``REPRO_WORKERS`` if set, else the executor's own default.
+    #: Process count of the "process" executor; ``None`` resolves to
+    #: ``REPRO_WORKERS`` if set, else the CPU count capped at 8.
     workers: int | None = None
 
     def __post_init__(self):

@@ -14,9 +14,10 @@ implementation, decomposed into four stage objects composed by a
   in/out-tile split for every tile of a row;
 - :class:`HostMergeStage` — the global out-tile merge (§III-C2).
 
-Rows are independent work units; *how* they run is delegated to a
-:class:`repro.core.executors.RowExecutor` (serial, thread pool, or banded
-multi-device model). All per-run bookkeeping lives in the typed
+Rows are independent work units. ``params.executor`` picks how they run:
+``"serial"`` loops over them in-process; ``"process"`` ships contiguous row
+bands to the worker pool of :mod:`repro.core.procpool`. All per-run
+bookkeeping lives in the typed
 :class:`PipelineStats`, which also behaves as a read/write mapping so the
 historical ``stats["key"]`` consumers keep working unchanged.
 
@@ -29,13 +30,13 @@ instrumentation degrades to shared no-op objects.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.executors import RowExecutor, SerialExecutor
 from repro.core.host_merge import host_merge
 from repro.core.params import GpuMemParams
 from repro.core.tiling import TilePlan
@@ -86,8 +87,9 @@ class PipelineStats:
     match the historical dict keys, and the class implements the mapping
     protocol (``stats["index_time"]``, ``dict(stats)``, ``stats.update``)
     so existing consumers — CLI, benchmarks, tests — read it unchanged.
-    Keys with no typed field (``sim_*`` of the simulated backend, band
-    details of the banded executor, variant tags, …) live in :attr:`extra`.
+    Keys with no typed field (``sim_*`` of the simulated backend, the
+    process count of the process executor, variant tags, …) live in
+    :attr:`extra`.
     """
 
     backend: str = "vectorized"
@@ -251,7 +253,7 @@ class RowIndexStage:
             index, seconds = build()
             return index, seconds, False
         # Prefer the single-flight protocol (MemSession.get_or_build): under
-        # the threads executor / BatchRunner, concurrent misses on one row
+        # concurrent queries (BatchRunner, MemServer), misses on one row
         # must produce exactly one build. Plain get/put caches remain
         # supported for simple (serial) callers.
         get_or_build = getattr(cache, "get_or_build", None)
@@ -340,19 +342,17 @@ class HostMergeStage:
 
 
 class Pipeline:
-    """Stage composition + row executor = one extraction engine.
+    """Stage composition = one extraction engine.
 
     ``run`` is the single implementation of the Figure-1 dataflow; the
-    matcher, the session, and the multi-device wrapper all call into it
-    with different executors / caches rather than re-growing their own
-    loops.
+    matcher, the session and the process workers all call into it with
+    different caches rather than re-growing their own loops.
     """
 
     def __init__(
         self,
         params: GpuMemParams,
         *,
-        executor: RowExecutor | None = None,
         prep: PrepStage | None = None,
         row_index: RowIndexStage | None = None,
         tile_match: TileMatchStage | None = None,
@@ -361,15 +361,19 @@ class Pipeline:
     ):
         self.params = params
         self.tracer = get_tracer(tracer)
-        self.executor = executor if executor is not None else SerialExecutor()
-        # The executor and the tile stage carry the pipeline's tracer so
-        # band timings and load-balance counters land in the same run.
-        self.executor.tracer = self.tracer
         self.prep = prep or PrepStage(params.seed_length)
         self.row_index = row_index or RowIndexStage(params)
+        # The tile stage carries the pipeline's tracer so its load-balance
+        # counters land in the same run.
         self.tile_match = tile_match or TileMatchStage(params, tracer=self.tracer)
         self.tile_match.tracer = self.tracer
         self.merge = merge or HostMergeStage(params)
+
+    @property
+    def workers(self) -> int:
+        """Process count of the ``"process"`` executor (default: the CPU
+        count, capped at 8)."""
+        return self.params.workers or min(8, os.cpu_count() or 1)
 
     def plan_for(self, n_reference: int, n_query: int) -> TilePlan:
         """The tile grid for one problem at this pipeline's tile size."""
@@ -441,7 +445,7 @@ class Pipeline:
         plan = self.plan_for(reference.size, query.size)
         with tracer.span(
             "pipeline.run", cat="pipeline",
-            backend=self.params.backend, executor=self.executor.name,
+            backend=self.params.backend, executor=self.params.executor,
             n_rows=plan.n_rows, n_reference=int(reference.size),
             n_query=int(query.size),
         ) as run_span:
@@ -456,23 +460,20 @@ class Pipeline:
                 sp.set(n_kmers=int(query_kmers.size))
             prep_time = time.perf_counter() - t0
 
-            if getattr(self.executor, "needs_spec", False):
+            if self.params.executor == "process":
                 row_results = self._run_specs(
                     reference, query, plan, index_cache
                 )
             else:
-
-                def row_fn(row: int) -> RowResult:
-                    return self.process_row(
+                row_results = [
+                    self.process_row(
                         reference, query, query_kmers, plan, row,
                         cache=index_cache,
                         packed_reference=packed_reference,
                         packed_query=packed_query,
                     )
-
-                row_results = self.executor.map_rows(
-                    row_fn, range(plan.n_rows)
-                )
+                    for row in range(plan.n_rows)
+                ]
 
             with tracer.span("stage:host_merge", cat="pipeline") as sp:
                 mems, crossing, out_tile, merge_seconds = self.merge.run(
@@ -486,7 +487,7 @@ class Pipeline:
 
         stats = PipelineStats(
             backend=self.params.backend,
-            executor=self.executor.name,
+            executor=self.params.executor,
             n_rows=plan.n_rows,
             n_cols=plan.n_cols,
             n_tiles=plan.n_tiles,
@@ -505,17 +506,18 @@ class Pipeline:
             index_cache_misses=sum(1 for r in row_results if not r.cache_hit),
             params=self.params.describe(),
         )
-        self.executor.annotate(stats)
+        if self.params.executor == "process":
+            stats["workers"] = self.workers
         self._record_metrics(stats, n_mems=int(mems.size))
         return mems, stats
 
     def _run_specs(
         self, reference: np.ndarray, query: np.ndarray, plan, index_cache
     ) -> list[RowResult]:
-        """Dispatch rows to a spec-based (process) executor.
+        """Run every row on the worker processes.
 
-        The closure-based path cannot cross a process boundary, so the work
-        travels as a picklable :class:`repro.core.procpool.RowTaskSpec`.
+        A closure cannot cross a process boundary, so the work travels as a
+        picklable :class:`repro.core.procpool.RowTaskSpec`.
         When the caller's cache is already fully warm, the spec says so:
         workers then warm their own sessions up front and report the same
         all-hit / zero-index-time stats a warm serial session does.
@@ -538,7 +540,9 @@ class Pipeline:
             tracer=self.tracer,
             store=getattr(index_cache, "store", None),
         )
-        return self.executor.map_row_specs(spec, range(plan.n_rows))
+        return procpool.map_row_specs(
+            spec, range(plan.n_rows), self.workers, tracer=self.tracer
+        )
 
     def _record_metrics(self, stats: PipelineStats, *, n_mems: int) -> None:
         """Fold one run's stats into the tracer's metrics registry."""
@@ -577,31 +581,25 @@ class Pipeline:
         """
         plan = self.plan_for(reference.size, self.params.tile_size)
         tracer = self.tracer
-
-        if getattr(self.executor, "needs_spec", False):
-            with tracer.span(
-                "pipeline.build_row_indexes", cat="pipeline",
-                n_rows=plan.n_rows,
-            ):
-                return self._build_specs(reference, plan, cache)
-
-        def row_fn(row: int) -> float:
-            with tracer.span("stage:row_index", cat="pipeline", row=row) as sp:
-                _, seconds, cache_hit = self.row_index.run(
-                    reference, plan, row, cache=cache
-                )
-                sp.set(cache_hit=cache_hit)
-            return seconds
-
         with tracer.span(
             "pipeline.build_row_indexes", cat="pipeline", n_rows=plan.n_rows
         ):
-            return float(
-                sum(self.executor.map_rows(row_fn, range(plan.n_rows)))
-            )
+            if self.params.executor == "process":
+                return self._build_specs(reference, plan, cache)
+            total = 0.0
+            for row in range(plan.n_rows):
+                with tracer.span(
+                    "stage:row_index", cat="pipeline", row=row
+                ) as sp:
+                    _, seconds, cache_hit = self.row_index.run(
+                        reference, plan, row, cache=cache
+                    )
+                    sp.set(cache_hit=cache_hit)
+                total += seconds
+            return float(total)
 
     def _build_specs(self, reference: np.ndarray, plan, cache) -> float:
-        """Spec-based (process) warm path: build in workers, fill ``cache``.
+        """Process warm path: build in workers, fill ``cache``.
 
         Rows the caller's cache already holds are skipped (counted as hits
         by the cache itself, matching the serial ``get_or_build`` path);
@@ -623,7 +621,9 @@ class Pipeline:
             store=getattr(cache, "store", None),
         )
         total = 0.0
-        for row, index, seconds in self.executor.build_row_specs(spec, missing):
+        for row, index, seconds in procpool.build_row_specs(
+            spec, missing, self.workers, tracer=self.tracer
+        ):
             if cache is not None:
                 cache.put(row, index)
             total += seconds

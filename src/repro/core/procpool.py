@@ -1,8 +1,8 @@
 """Process-sharded execution: spawn-safe workers over a shared reference.
 
-The GIL caps the thread executor at ~1.1x on CPU-bound rows, so the
-``"process"`` tier ships work to a pool of worker *processes* instead. The
-pieces that make that cheap and correct live here:
+``executor="process"`` ships tile-row bands, and the batch/serve
+``tier="process"`` ships whole queries, to a pool of worker *processes*.
+The pieces that make that cheap and correct live here:
 
 - **Reference transport.** :func:`publish_reference` turns a code array
   into a picklable :class:`ReferenceLocator`: tiny references ride inline
@@ -19,8 +19,11 @@ pieces that make that cheap and correct live here:
   module-level caches, so the per-reference index builds happen once per
   worker, not once per task (the ISSUE's "per-process session warmup").
 - **Registries.** Pools and published segments are process-wide and
-  reused across executors/runners; ``atexit`` tears both down so no
+  reused across pipelines/runners; ``atexit`` tears both down so no
   segment outlives the owner.
+- **Row dispatch.** :func:`map_row_specs` / :func:`build_row_specs` split
+  a pipeline's rows into one contiguous band per worker and gather the
+  results in row order.
 
 Worker entry points (:func:`run_row_band`, :func:`build_rows`,
 :func:`run_query_task`) are module-level functions so they import cleanly
@@ -45,6 +48,8 @@ import numpy as np
 from repro.analysis import resource_tracker as _res
 from repro.core.params import GpuMemParams
 from repro.index.compare import pack_codes
+from repro.obs.shipping import merge_payload
+from repro.obs.tracer import get_tracer
 from repro.sequence.packed import PackedSequence, SharedSequenceHandle, pack_bits
 
 #: Packed references at or below this many bytes ride inline in the task
@@ -156,8 +161,6 @@ def make_spec(
     or ``None``) travels as its cache-dir path so workers attach their own
     handle to the same on-disk store.
     """
-    from repro.obs.tracer import get_tracer
-
     return RowTaskSpec(
         ref=publish_reference(reference, tracer=tracer),
         params=worker_params(params),
@@ -185,11 +188,10 @@ def publish_reference(reference: np.ndarray, *, tracer=None) -> ReferenceLocator
     """A :class:`ReferenceLocator` for ``reference``, publishing if needed.
 
     Small references are inlined; large ones are placed in (or served from)
-    the process-wide shared-segment registry, so many executors/runners
+    the process-wide shared-segment registry, so many pipelines/runners
     publishing the same genome share one segment.
     """
     from repro.core.session import reference_fingerprint
-    from repro.obs.tracer import get_tracer
 
     codes = np.ascontiguousarray(reference, dtype=np.uint8)
     fingerprint = reference_fingerprint(codes)
@@ -283,6 +285,65 @@ def registry_info() -> dict:
                 seq._shm.name for seq in _shared_refs.values() if seq._shm is not None
             ],
         }
+
+
+# -- parent-side row dispatch --------------------------------------------------
+
+def _bands(rows: list[int], workers: int) -> list[list[int]]:
+    """``rows`` in at most ``workers`` contiguous near-equal bands, none empty."""
+    bounds = np.linspace(0, len(rows), min(workers, len(rows)) + 1).astype(int)
+    return [rows[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_bands(entry, span_name: str, spec: RowTaskSpec, rows, workers: int,
+               tracer) -> list:
+    """``entry(spec, band)`` for each band of ``rows`` on the worker pool.
+
+    One band per worker amortizes the per-task IPC round trip. Results come
+    back in row order; each band's shipped observability is merged into
+    ``tracer``.
+    """
+    rows = list(rows)
+    with tracer.span(
+        span_name, cat="executor", n_rows=len(rows), workers=workers
+    ) as sp:
+        if not rows:
+            return []
+        pool = get_pool(workers)
+        bands = _bands(rows, workers)
+        futures = [pool.submit(entry, spec, band) for band in bands]
+        out: list = []
+        for future in futures:
+            results, obs = future.result()
+            out.extend(results)
+            merge_payload(tracer, obs)
+        sp.set(n_bands=len(bands))
+    return out
+
+
+def map_row_specs(spec: RowTaskSpec, rows, workers: int, *, tracer=None) -> list:
+    """Index + match ``rows`` of ``spec`` on ``workers`` processes.
+
+    Returns the :class:`~repro.core.pipeline.RowResult` list in row order.
+    """
+    tracer = get_tracer(tracer)
+    out = _run_bands(run_row_band, "executor:process", spec, rows, workers, tracer)
+    metrics = tracer.metrics
+    if metrics.enabled:
+        metrics.counter("proc.rows").inc(len(out))
+        metrics.counter("proc.bands").inc(min(workers, len(out)))
+    return out
+
+
+def build_row_specs(spec: RowTaskSpec, rows, workers: int, *, tracer=None) -> list:
+    """Index-only builds of ``rows`` on ``workers`` processes.
+
+    Returns ``(row, index, seconds)`` triples in row order.
+    """
+    return _run_bands(
+        build_rows, "executor:process-build", spec, rows, workers,
+        get_tracer(tracer),
+    )
 
 
 # -- worker-side state ---------------------------------------------------------

@@ -25,7 +25,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.analysis.lock_tracker import new_lock
-from repro.core.executors import RowExecutor, make_executor
 from repro.core.params import GpuMemParams
 from repro.core.pipeline import Pipeline, PipelineStats, as_codes
 from repro.index.compare import pack_codes
@@ -55,17 +54,11 @@ class MemSession:
         params: GpuMemParams | None = None,
         /,
         *,
-        executor: RowExecutor | str | None = None,
         tracer: Tracer | None = None,
         lock_factory=None,
         store=None,
         **kwargs,
     ):
-        if isinstance(executor, str):
-            # Route registry names through the params so they validate and
-            # show up in ``describe()`` like any other knob.
-            kwargs["executor"] = executor
-            executor = None
         if params is None:
             params = GpuMemParams(**kwargs)
         elif kwargs:
@@ -80,15 +73,11 @@ class MemSession:
         #: ``new_lock`` yields plain locks unless a runtime
         #: :class:`repro.analysis.lock_tracker.LockTracker` is installed.
         self._lock_factory = lock_factory or new_lock
-        if executor is None:
-            executor = make_executor(
-                params.executor, params.workers, lock_factory=self._lock_factory
-            )
-        self.pipeline = Pipeline(params, executor=executor, tracer=self.tracer)
+        self.pipeline = Pipeline(params, tracer=self.tracer)
         #: Stats of the most recent :meth:`find_mems` run.
         self.stats = PipelineStats(
             backend=params.backend,
-            executor=self.pipeline.executor.name,
+            executor=params.executor,
             params=params.describe(),
         )
         #: The persistent tiered index store behind this session's cold
@@ -133,8 +122,9 @@ class MemSession:
         row serialize on a per-row lock so exactly one of them builds; the
         others block briefly and are then served the cached index (counted
         as hits — only the one real build is a miss). This is what makes
-        the session safe under the ``threads`` executor and under
-        query-level concurrency (:class:`repro.core.batch.BatchRunner`).
+        the session safe under query-level concurrency
+        (:class:`repro.core.batch.BatchRunner`,
+        :class:`repro.core.serve.MemServer`).
         """
         with self._lock:
             index = self._row_indexes.get(row)
@@ -245,8 +235,8 @@ class MemSession:
         """Cache effectiveness counters and resident footprint.
 
         Counters and the resident-index list are snapshotted under the
-        cache lock, so this is safe to call while the threads executor (or
-        a :class:`~repro.core.batch.BatchRunner`) is mutating the cache.
+        cache lock, so this is safe to call while concurrent queries (e.g.
+        a :class:`~repro.core.batch.BatchRunner`) are mutating the cache.
         """
         with self._lock:
             indexes = list(self._row_indexes.values())
@@ -313,7 +303,7 @@ class MemSession:
         return (
             f"MemSession(|R|={self.reference.size}, "
             f"rows={n_cached}/{self.n_rows} cached, "
-            f"executor={self.pipeline.executor.name!r})"
+            f"executor={self.params.executor!r})"
         )
 
 

@@ -6,7 +6,8 @@ Figs. 4–7); this package makes the reproduction answer those questions on
 every run instead of through ad-hoc stats keys:
 
 - :class:`~repro.obs.tracer.Tracer` — nested spans over the pipeline
-  stages, executors, sessions, kernel launches, and memory transfers.
+  stages, process dispatch, sessions, kernel launches, and memory
+  transfers.
   Thread one ``tracer=`` argument through ``GpuMem`` / ``MemSession`` /
   ``Pipeline`` / ``Device`` and the whole run is recorded.
 - :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters, gauges,

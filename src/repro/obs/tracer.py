@@ -12,7 +12,7 @@ context-manager or decorator API::
     def map_read(read): ...
 
 Nesting is tracked per thread (a worker thread's spans form their own
-lane), so the executor layer can fan rows out without corrupting the tree.
+lane), so thread pools can fan queries out without corrupting the tree.
 Finished spans accumulate on the tracer and export to Chrome-trace JSON /
 a text tree via :mod:`repro.obs.export`.
 

@@ -254,9 +254,11 @@ class TestRealWorkloadsAreClean:
         tracker = LockTracker(mode="raise")
         tracker.install_blocking_probes()
         try:
+            # Concurrent queries on one shared session, as BatchRunner and
+            # MemServer run them.
             session = MemSession(
-                reference, min_length=30, executor="threads", workers=4,
-                blocks_per_tile=1, lock_factory=tracker.lock,
+                reference, min_length=30, blocks_per_tile=1,
+                lock_factory=tracker.lock,
             )
             queries = [reference[i * 400 : i * 400 + 300].copy() for i in range(4)]
             with ThreadPoolExecutor(4) as pool:

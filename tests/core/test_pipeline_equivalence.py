@@ -1,10 +1,10 @@
 """Cross-path equivalence: every executor/session path = one MEM set.
 
 The staged pipeline promises that *how* the independent tile rows run —
-serially (the seed behaviour), on a thread pool, banded across model
-devices, or against a warm session cache — never changes *what* is
-extracted. This suite pins that promise on random and adversarial inputs,
-always cross-checked against the independent ``brute_force_mems`` oracle.
+serially (the seed behaviour), as row bands on worker processes, or
+against a warm session cache — never changes *what* is extracted. This
+suite pins that promise on random and adversarial inputs, always
+cross-checked against the independent ``brute_force_mems`` oracle.
 """
 
 from __future__ import annotations
@@ -15,19 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    BandedExecutor,
     GpuMem,
     GpuMemParams,
     MemSession,
     PipelineStats,
-    SerialExecutor,
-    ThreadPoolRowExecutor,
     brute_force_mems,
     clear_session_cache,
     get_session,
-    make_executor,
 )
-from repro.core.multi_device import find_mems_multi_device
+from repro.core.params import EXECUTOR_NAMES
 from repro.errors import InvalidParameterError
 from repro.types import mems_equal, unique_mems
 
@@ -48,21 +44,14 @@ def _all_paths(reference: np.ndarray, query: np.ndarray) -> dict[str, np.ndarray
     """Sorted triplet bytes from every supported execution path."""
     out: dict[str, np.ndarray] = {}
     out["serial"] = GpuMem(_params()).find_mems(reference, query).array
-    out["threads"] = (
-        GpuMem(_params(executor="threads", workers=3))
-        .find_mems(reference, query)
-        .array
-    )
-    out["banded"] = (
-        GpuMem(_params(executor="banded", workers=3))
+    out["process"] = (
+        GpuMem(_params(executor="process", workers=2))
         .find_mems(reference, query)
         .array
     )
     session = MemSession(reference, _params())
     out["session-cold"] = session.find_mems(query).array
     out["session-warm"] = session.find_mems(query).array  # 100% cache hits
-    mems, _ = find_mems_multi_device(reference, query, _params(), n_devices=3)
-    out["multi-device"] = mems.array
     return out
 
 
@@ -73,6 +62,9 @@ def _assert_all_equal(reference, query, paths: dict[str, np.ndarray]) -> None:
         assert got.tobytes() == oracle.tobytes(), (
             f"{name} diverged: {got.size} vs oracle {oracle.size} MEMs"
         )
+    # Row bands meet only at the host merge: the process executor returns
+    # the serial array byte for byte, in the same order.
+    assert paths["process"].tobytes() == paths["serial"].tobytes()
 
 
 class TestPathEquivalence:
@@ -116,18 +108,33 @@ class TestPathEquivalence:
         Q = np.array([0, 1], dtype=np.uint8)  # shorter than seed_length
         _assert_all_equal(R, Q, _all_paths(R, Q))
 
+    def test_multi_row_pair_process_bytes_equal_serial(self):
+        # One pair over many tile rows: every band split of the process
+        # executor must give the serial bytes and the oracle's MEM set.
+        rng = np.random.default_rng(5)
+        R = rng.integers(0, 4, 400).astype(np.uint8)
+        Q = np.concatenate([R[30:250], rng.integers(0, 4, 60).astype(np.uint8)])
+        serial = GpuMem(_params()).find_mems(R, Q)
+        assert serial.stats.n_rows > 3
+        oracle = unique_mems(brute_force_mems(R, Q, L))
+        assert unique_mems(serial.array).tobytes() == oracle.tobytes()
+        for workers in (1, 2, 3):
+            proc = GpuMem(_params(executor="process", workers=workers))
+            got = proc.find_mems(R, Q)
+            assert got.array.tobytes() == serial.array.tobytes()
+            assert got.stats.n_rows == serial.stats.n_rows
+
     @settings(max_examples=10, deadline=None)
-    @given(dna_pair(max_size=100), st.integers(1, 5))
+    @given(dna_pair(max_size=100), st.integers(1, 3))
     def test_any_worker_count(self, pair, workers):
         R, Q = pair
         serial = GpuMem(_params()).find_mems(R, Q).array
-        for name in ("threads", "banded"):
-            arr = (
-                GpuMem(_params(executor=name, workers=workers))
-                .find_mems(R, Q)
-                .array
-            )
-            assert mems_equal(arr, serial)
+        arr = (
+            GpuMem(_params(executor="process", workers=workers))
+            .find_mems(R, Q)
+            .array
+        )
+        assert mems_equal(arr, serial)
 
 
 class TestSessionCaching:
@@ -300,22 +307,24 @@ class TestPipelineStatsContract:
 
     def test_executor_recorded(self):
         R = (np.arange(120) % 4).astype(np.uint8)
-        g = GpuMem(_params(executor="threads", workers=2))
+        g = GpuMem(_params(executor="process", workers=2))
         g.find_mems(R, R[10:90])
-        assert g.stats.executor == "threads"
+        assert g.stats.executor == "process"
         assert g.stats["workers"] == 2
+        serial = GpuMem(_params(executor="serial"))
+        serial.find_mems(R, R[10:90])
+        assert serial.stats.executor == "serial"
+        assert "workers" not in serial.stats
 
 
 class TestExecutorRegistry:
-    def test_make_executor_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", 2), ThreadPoolRowExecutor)
-        assert isinstance(make_executor("banded", 3), BandedExecutor)
-        with pytest.raises(InvalidParameterError):
-            make_executor("cuda")
-
     def test_params_validate_executor(self):
-        with pytest.raises(InvalidParameterError):
-            _params(executor="bogus")
+        assert EXECUTOR_NAMES == ("serial", "process")
+        for name in EXECUTOR_NAMES:
+            assert _params(executor=name).executor == name
+        for name in ("bogus", "threads", "banded"):
+            with pytest.raises(InvalidParameterError) as err:
+                _params(executor=name)
+            assert "('serial', 'process')" in str(err.value)
         with pytest.raises(InvalidParameterError):
             _params(workers=0)

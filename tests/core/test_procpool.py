@@ -14,7 +14,7 @@ import pytest
 from repro.core import GpuMem, GpuMemParams, MemSession, brute_force_mems
 from repro.core import procpool
 from repro.core.batch import BatchError, BatchResult
-from repro.core.executors import EXECUTOR_NAMES, make_executor
+from repro.core.params import EXECUTOR_NAMES
 from repro.types import mems_equal, unique_mems
 
 SMALL = dict(seed_length=3, threads_per_block=4, blocks_per_tile=2)
@@ -93,15 +93,25 @@ class TestSpawnSafety:
 class TestProcessExecutor:
     def test_registered(self):
         assert "process" in EXECUTOR_NAMES
-        ex = make_executor("process", workers=WORKERS)
-        assert ex.name == "process"
-        assert ex.needs_spec
+        p = params(executor="process", workers=WORKERS)
+        assert (p.executor, p.workers) == ("process", WORKERS)
+        assert MemSession(np.zeros(8, np.uint8), p).pipeline.workers == WORKERS
 
     def test_invalid_workers(self):
         from repro.errors import InvalidParameterError
 
         with pytest.raises(InvalidParameterError):
-            make_executor("process", workers=0)
+            params(executor="process", workers=0)
+
+    def test_bands_are_contiguous_and_near_equal(self):
+        rows = list(range(10))
+        for workers in (1, 3, 4, 10, 16):
+            bands = procpool._bands(rows, workers)
+            assert sum(bands, []) == rows
+            assert len(bands) == min(workers, len(rows))
+            sizes = [len(b) for b in bands]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert procpool._bands([], 4) == []
 
     def test_cold_one_shot_matches_oracle(self, data):
         ref, qry = data

@@ -1,7 +1,7 @@
 """MemSession under contention: single-flight builds, safe introspection.
 
-Regression tests for the PR-4 cache races: duplicate row builds under the
-threads executor (two threads missing the same row both built its index),
+Regression tests for the PR-4 cache races: duplicate row builds under
+concurrent queries (two threads missing the same row both built its index),
 ``cache_info()`` iterating the index dict while a concurrent ``put``
 mutates it, and ``drop_indexes()`` racing in-flight queries.
 """
@@ -79,8 +79,10 @@ class TestSingleFlight:
     def test_one_build_per_row_concurrent_queries(
         self, reference, counting_builds
     ):
-        session = MemSession(reference, min_length=30, executor="threads",
-                             workers=4, blocks_per_tile=1)
+        # Four queries on one shared session, as BatchRunner and MemServer
+        # run them: every thread walks the rows in the same order, so they
+        # all miss each cold row together.
+        session = MemSession(reference, min_length=30, blocks_per_tile=1)
         query = reference[1_000:2_000].copy()
         barrier = threading.Barrier(4)
 

@@ -6,6 +6,9 @@ mmap loads, near-zero index seconds — instead of rebuilding, and results
 must be bit-identical either way.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -127,14 +130,21 @@ class TestSessionStore:
 
 class TestThreadedExecutorWithStore:
     def test_threads_executor_single_flight_per_row(self, data, tmp_path):
+        """Concurrent queries on one stored session build each row once."""
         ref, qry = data
         store = store_at(tmp_path)
-        session = MemSession(
-            ref, params(executor="threads", workers=4), store=store
-        )
+        session = MemSession(ref, params(), store=store)
         plain = MemSession(ref, params()).find_mems(qry)
-        got = session.find_mems(qry)
-        assert np.array_equal(plain.array, got.array)
+        barrier = threading.Barrier(4)
+
+        def query_once(_):
+            barrier.wait()
+            return session.find_mems(qry)
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(query_once, range(4)))
+        for got in results:
+            assert np.array_equal(plain.array, got.array)
         assert store.stats()["builds"] == session.n_rows  # once per row
 
 

@@ -55,6 +55,20 @@ class TestMatch:
         assert all(r.n_match == r.target_end - r.target_start for r in records)
 
 
+    def test_executor_choices(self, fasta_pair, capsys):
+        rp, qp, *_ = fasta_pair
+        for name in ("threads", "banded"):
+            with pytest.raises(SystemExit) as err:
+                main(["match", rp, qp, "--executor", name])
+            assert err.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        args = ["match", rp, qp, "-l", "25", "-s", "8"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--executor", "process", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+
 class TestMatchVariants:
     def test_unique_flag(self, fasta_pair, capsys):
         rp, qp, ref, qry = fasta_pair
