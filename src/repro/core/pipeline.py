@@ -306,8 +306,8 @@ class TileMatchStage:
             if result.out_tile.size:
                 out_parts.append(result.out_tile)
             if metrics.enabled:
-                n_slots = int(result.hit_counts.size)
-                n_active = int(result.n_query_seeds_with_hits)
+                n_slots = result.n_query_seeds
+                n_active = result.n_query_seeds_with_hits
                 slots += n_slots
                 active += n_active
                 idle += n_slots - n_active

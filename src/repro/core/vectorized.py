@@ -21,7 +21,7 @@ Key semantics (DESIGN.md §5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,12 @@ class TileStageResult:
     out_tile: np.ndarray
     n_candidates: int = 0
     n_query_seeds_with_hits: int = 0
-    hit_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    n_query_seeds: int = 0
+
+
+def query_seed_range(tile: Tile, n_query: int, seed_length: int) -> tuple[int, int]:
+    """``[q_lo, q_hi)``: the tile's query positions whose seed fits in the query."""
+    return tile.q_start, min(tile.q_end, n_query - seed_length + 1)
 
 
 def tile_candidates(
@@ -74,19 +79,20 @@ def tile_candidates(
     Query seeds are taken at *every* position of the tile's query range
     whose window fits in the query (the reference side carries the Δs
     sparsification — §III-B2 processes all ``w · τ · n_block`` query
-    locations of a block). Returns ``(r, q, hit_counts_per_q)``.
+    locations of a block). Each seed is first tested against the row's
+    ``present`` bitset; only the seeds that pass read ``ptrs``. Returns
+    ``(r, q, counts)`` with ``counts`` the hit count of each passing seed.
     """
-    q_lo = tile.q_start
-    q_hi = min(tile.q_end, n_query - seed_length + 1)
+    q_lo, q_hi = query_seed_range(tile, n_query, seed_length)
     if q_hi <= q_lo:
         z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), np.empty(0, dtype=np.int64)
-    q_positions = np.arange(q_lo, q_hi, dtype=np.int64)
-    seeds = query_kmers[q_positions]
-    starts, counts = index.lookup(seeds)
+        return z, z.copy(), z.copy()
+    seeds = query_kmers[q_lo:q_hi]
+    hit = index.present_indices(seeds)
+    starts, counts = index.lookup(seeds[hit])
     flat, owner = expand_ranges(starts, counts)
     r = index.locs[flat]
-    q = q_positions[owner]
+    q = q_lo + hit[owner]
     return r, q, counts
 
 
@@ -149,12 +155,13 @@ def stage_tile(
     min_length: int,
 ) -> TileStageResult:
     """Full tile stage: candidates → extension → in/out split."""
-    r, q, hit_counts = tile_candidates(
+    r, q, counts = tile_candidates(
         query_kmers, tile, index, len(query), index.seed_length
     )
     result = extend_and_classify(
         reference, query, tile, r, q, index.seed_length, min_length
     )
-    result.hit_counts = hit_counts
-    result.n_query_seeds_with_hits = int((hit_counts > 0).sum())
+    q_lo, q_hi = query_seed_range(tile, len(query), index.seed_length)
+    result.n_query_seeds = max(0, q_hi - q_lo)
+    result.n_query_seeds_with_hits = int((counts > 0).sum())
     return result

@@ -7,6 +7,12 @@ The paper's index (§III-A, Figure 1) is two arrays:
 - ``ptrs``: prefix sums of per-seed occurrence counts, so the locations of
   seed ``s`` live at ``locs[ptrs[s] : ptrs[s+1]]``.
 
+Beside them each index keeps ``present``, a 1-bit membership table (bit
+``s & 7`` of byte ``s >> 3`` is set iff seed ``s`` occurs in the region).
+At ``4^ℓs / 8`` bytes it is 64× smaller than ``ptrs`` and stays in cache,
+so the tile stage tests every query seed against it first and reads
+``ptrs`` only for the few seeds that occur in the row.
+
 Seeds are taken every ``step`` (Δs) positions, with
 ``step <= min_length - seed_length + 1`` (Eq. 1) guaranteeing every MEM of
 length ≥ ``min_length`` contains an indexed, query-aligned seed.
@@ -35,6 +41,9 @@ class KmerSeedIndex:
     tile-relative offsets to shave bits; absolute positions keep the host
     bookkeeping simpler and the size accounting is reported equivalently
     via :attr:`nbits_per_loc`).
+
+    ``present`` is the membership bitset; constructors that do not pass it
+    get it derived from ``ptrs``.
     """
 
     seed_length: int
@@ -43,6 +52,11 @@ class KmerSeedIndex:
     region_end: int
     ptrs: np.ndarray  # int64[4**seed_length + 1]
     locs: np.ndarray  # int64[n_locs]
+    present: np.ndarray | None = None  # uint8[ceil(4**seed_length / 8)]
+
+    def __post_init__(self):
+        if self.present is None:
+            object.__setattr__(self, "present", present_bits(np.diff(self.ptrs) > 0))
 
     @property
     def n_locs(self) -> int:
@@ -78,6 +92,16 @@ class KmerSeedIndex:
         counts = np.where(valid, self.ptrs[safe + 1] - starts, 0)
         return starts, counts
 
+    def present_indices(self, seeds: np.ndarray) -> np.ndarray:
+        """Indices into ``seeds`` of the values whose ``present`` bit is set.
+
+        Out-of-range values read a clipped byte and may pass; :meth:`lookup`
+        still gives them count 0.
+        """
+        seeds = np.asarray(seeds, dtype=np.int64)
+        byte = np.take(self.present, seeds >> 3, mode="clip")
+        return np.flatnonzero((byte >> (seeds & 7).astype(np.uint8)) & 1)
+
     def locations_of(self, seed_value: int) -> np.ndarray:
         """All reference positions of one seed value (sorted)."""
         if not 0 <= seed_value < self.n_seeds:
@@ -107,12 +131,32 @@ class KmerSeedIndex:
             raise IndexIntegrityError(
                 "ptrs must be non-decreasing", field="ptrs"
             )
-        for s in range(self.n_seeds):
-            grp = self.locs[self.ptrs[s] : self.ptrs[s + 1]]
-            if not np.all(np.diff(grp) > 0):
-                raise IndexIntegrityError(
-                    f"seed {s} locations not sorted", field="locs"
-                )
+        occurs = np.diff(self.ptrs) > 0
+        # Within a group locations strictly increase; a step that does not
+        # is allowed only where a new group starts.
+        group_start = np.zeros(self.n_locs, dtype=bool)
+        group_start[self.ptrs[:-1][occurs]] = True
+        bad = np.flatnonzero(~group_start[1:] & (np.diff(self.locs) <= 0))
+        if bad.size:
+            s = int(np.searchsorted(self.ptrs, bad[0] + 1, side="right")) - 1
+            raise IndexIntegrityError(
+                f"seed {s} locations not sorted", field="locs"
+            )
+        expect = present_bits(occurs)
+        if (
+            self.present.dtype != np.uint8
+            or self.present.shape != expect.shape
+            or not np.array_equal(self.present, expect)
+        ):
+            raise IndexIntegrityError(
+                "present bits disagree with the non-empty ptrs groups",
+                field="present",
+            )
+
+
+def present_bits(occurs: np.ndarray) -> np.ndarray:
+    """Pack one bool per seed value into the ``present`` bitset layout."""
+    return np.packbits(occurs, bitorder="little")
 
 
 def validate_sparsity(seed_length: int, step: int, min_length: int) -> None:
@@ -193,6 +237,9 @@ def build_kmer_index(
     counts = np.bincount(seeds, minlength=n_seeds)
     ptrs = np.zeros(n_seeds + 1, dtype=np.int64)
     np.cumsum(counts, out=ptrs[1:])
+    # O(n_locs) from the row's own seeds, not O(4^ℓs) from ``counts``.
+    present = np.zeros((n_seeds + 7) // 8, dtype=np.uint8)
+    np.bitwise_or.at(present, seeds >> 3, np.left_shift(1, seeds & 7).astype(np.uint8))
     return KmerSeedIndex(
         seed_length=seed_length,
         step=step,
@@ -200,4 +247,5 @@ def build_kmer_index(
         region_end=region_end,
         ptrs=ptrs,
         locs=locs,
+        present=present,
     )

@@ -169,7 +169,7 @@ def searcher_key(fingerprint: str, *, sparseness: int, prefix_table_k: int) -> s
 
 
 def _index_nbytes(index: KmerSeedIndex) -> int:
-    return int(index.ptrs.nbytes + index.locs.nbytes)
+    return int(index.ptrs.nbytes + index.locs.nbytes + index.present.nbytes)
 
 
 def _searcher_nbytes(searcher: SuffixArraySearcher) -> int:

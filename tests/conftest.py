@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings as hyp_settings
@@ -35,6 +37,15 @@ def dna(min_size: int = 0, max_size: int = 120, alphabet: int = 4):
     return st.lists(
         st.integers(0, alphabet - 1), min_size=min_size, max_size=max_size
     ).map(lambda xs: np.array(xs, dtype=np.uint8))
+
+
+def drop_bundle_array(bundle, name):
+    """Rewrite index bundle ``bundle`` as if written without array ``name``."""
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["arrays"][name]
+    meta_path.write_text(json.dumps(meta))
+    (bundle / f"{name}.npy").unlink()
 
 
 @st.composite

@@ -20,6 +20,7 @@ class TestGpuIndexBuild:
         cpu = build_kmer_index(codes, seed_length=ls, step=step)
         assert np.array_equal(gpu.ptrs, cpu.ptrs)
         assert np.array_equal(gpu.locs, cpu.locs)
+        assert np.array_equal(gpu.present, cpu.present)  # derived from ptrs
 
     def test_region_build(self):
         rng = np.random.default_rng(0)

@@ -1,11 +1,15 @@
 """Tests for repro.core.vectorized (tile stage internals)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import mutate, random_dna
 from repro.core.host_merge import host_merge
+from repro.core.params import GpuMemParams
+from repro.core.pipeline import TileMatchStage
 from repro.core.reference import brute_force_mems
-from repro.core.tiling import Tile
+from repro.core.tiling import Tile, TilePlan
 from repro.core.vectorized import (
     expand_ranges,
     extend_and_classify,
@@ -13,6 +17,7 @@ from repro.core.vectorized import (
     tile_candidates,
 )
 from repro.index.kmer_index import build_kmer_index
+from repro.obs import Tracer
 from repro.sequence.packed import kmer_codes
 from repro.types import concat_triplets, mems_equal, unique_mems
 
@@ -53,13 +58,14 @@ def full_tile(nr, nq):
     return Tile(row=0, col=0, r_start=0, r_end=nr, q_start=0, q_end=nq)
 
 
-def naive_seed_hits(R, Q, tile, ls):
-    """Every ``(r, q)`` in the tile box whose ``ls``-windows agree."""
+def naive_seed_hits(R, Q, tile, ls, step=1):
+    """Every ``(r, q)`` in the tile box whose ``ls``-windows agree, with
+    ``r`` on the global ``step`` grid; query-major, ``r`` ascending."""
     pairs = [
         (r, q)
-        for r in range(tile.r_start, min(tile.r_end, R.size - ls + 1))
         for q in range(tile.q_start, min(tile.q_end, Q.size - ls + 1))
-        if np.array_equal(R[r : r + ls], Q[q : q + ls])
+        for r in range(tile.r_start, min(tile.r_end, R.size - ls + 1))
+        if r % step == 0 and np.array_equal(R[r : r + ls], Q[q : q + ls])
     ]
     r, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return r.copy(), q.copy()
@@ -130,6 +136,37 @@ class TestTileCandidates:
         qk = kmer_codes(Q, 3)
         _, q, _ = tile_candidates(qk, full_tile(10, 5), idx, 5, 3)
         assert q.max() <= 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_byte_identical_to_loop_oracle(self, data):
+        """Bit filter + ``ptrs`` gather gives exactly the oracle's pairs, in
+        its order, also when some query seeds are out of range (negative
+        or ≥ 4^ℓs values take the ``clip`` path and must match nothing)."""
+        alphabet = data.draw(st.sampled_from([2, 4]))
+        R = data.draw(dna(min_size=4, max_size=70, alphabet=alphabet))
+        Q = data.draw(dna(min_size=4, max_size=70, alphabet=alphabet))
+        ls = data.draw(st.integers(1, 3))
+        step = data.draw(st.integers(1, 4))
+        r0 = data.draw(st.integers(0, R.size - 1))
+        q0 = data.draw(st.integers(0, Q.size - 1))
+        tile = Tile(row=0, col=0,
+                    r_start=r0, r_end=data.draw(st.integers(r0, R.size)),
+                    q_start=q0, q_end=data.draw(st.integers(q0, Q.size)))
+        idx = build_kmer_index(R, seed_length=ls, step=step,
+                               region_start=tile.r_start, region_end=tile.r_end)
+        qk = kmer_codes(Q, ls).astype(np.int64)
+        bad = sorted(data.draw(st.sets(st.integers(0, qk.size - 1), max_size=6)))
+        for pos in bad:
+            qk[pos] = data.draw(st.sampled_from(
+                [-1, -8, -(2**62), 4**ls, 4**ls + 7, 2**40]))
+        r, q, counts = tile_candidates(qk, tile, idx, Q.size, ls)
+        er, eq = naive_seed_hits(R, Q, tile, ls, step)
+        keep = ~np.isin(eq, bad)
+        assert r.dtype == q.dtype == np.int64
+        assert r.tobytes() == er[keep].tobytes()
+        assert q.tobytes() == eq[keep].tobytes()
+        assert int(counts.sum()) == r.size
 
     def test_empty_tile(self):
         R = np.zeros(10, dtype=np.uint8)
@@ -262,5 +299,50 @@ class TestStageTile:
         idx = build_kmer_index(R, seed_length=2, step=1)
         qk = kmer_codes(Q, 2)
         res = stage_tile(R, Q, qk, full_tile(20, 10), idx, 3)
+        assert res.n_query_seeds == 9
         assert res.n_query_seeds_with_hits == 9
         assert res.n_candidates == 9 * 19
+
+    def test_hit_stats_count_idle_slots(self):
+        R = np.zeros(20, dtype=np.uint8)
+        Q = np.array([0, 0, 0, 3, 3, 3, 0, 0], dtype=np.uint8)
+        idx = build_kmer_index(R, seed_length=2, step=1)
+        qk = kmer_codes(Q, 2)  # AA AA AT TT TT TA AA
+        res = stage_tile(R, Q, qk, full_tile(20, 8), idx, 3)
+        assert res.n_query_seeds == 7
+        assert res.n_query_seeds_with_hits == 3
+
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_load_balance_counters_match_full_probe(self, balance):
+        """The Algorithm-2 counters TileMatchStage feeds from the filtered
+        stats equal the ones a full ``ptrs`` probe of every slot gives."""
+        R = random_dna(3000, seed=5)
+        Q = np.concatenate([mutate(R[500:1500], rate=0.05, seed=6),
+                            random_dna(700, seed=7)])
+        params = GpuMemParams(min_length=16, seed_length=6,
+                              threads_per_block=8, blocks_per_tile=4,
+                              load_balancing=balance)
+        plan = TilePlan(R.size, Q.size, params.tile_size)
+        qk = kmer_codes(Q, params.seed_length)
+        tracer = Tracer()
+        slots = active = redistributed = 0
+        for row in range(plan.n_rows):
+            r0, r1 = plan.row_range(row)
+            idx = build_kmer_index(R, seed_length=params.seed_length,
+                                   step=params.step, region_start=r0, region_end=r1)
+            TileMatchStage(params, tracer=tracer).run(R, Q, qk, plan, row, idx)
+            for tile in plan.tiles_in_row(row):
+                q_hi = min(tile.q_end, Q.size - params.seed_length + 1)
+                _, counts = idx.lookup(qk[tile.q_start:q_hi])
+                n_active = int((counts > 0).sum())
+                slots += counts.size
+                active += n_active
+                if balance and n_active:
+                    redistributed += counts.size - n_active
+        metrics = tracer.metrics
+        assert 0 < active < slots
+        assert metrics.counter("load_balance.seed_slots").value == slots
+        assert metrics.counter("load_balance.active_seeds").value == active
+        assert metrics.counter("load_balance.idle_threads").value == slots - active
+        assert (metrics.counter("load_balance.redistributed_threads").value
+                == redistributed)

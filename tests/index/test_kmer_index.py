@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidParameterError
+from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.index.kmer_index import (
+    KmerSeedIndex,
     build_kmer_index,
     max_step,
     validate_sparsity,
@@ -154,6 +155,104 @@ class TestLookup:
     def test_locations_of_out_of_range(self):
         idx = build_kmer_index(np.array([0], dtype=np.uint8), seed_length=1, step=1)
         assert idx.locations_of(99).size == 0
+
+
+class TestPresentBits:
+    @settings(max_examples=50, deadline=None)
+    @given(dna(min_size=1, max_size=150), st.integers(1, 4), st.integers(1, 5),
+           st.lists(st.integers(-(2**40), 2**40), max_size=30))
+    def test_bit_filter_never_drops_a_hit(self, codes, ls, step, extra):
+        """Every seed whose ``lookup`` count is > 0 passes the bit test;
+        in-range seeds pass exactly when they occur."""
+        idx = build_kmer_index(codes, seed_length=ls, step=step)
+        seeds = np.concatenate([np.arange(-9, 4**ls + 9), extra]).astype(np.int64)
+        passed = np.zeros(seeds.size, dtype=bool)
+        passed[idx.present_indices(seeds)] = True
+        _, counts = idx.lookup(seeds)
+        assert not np.any((counts > 0) & ~passed)
+        in_range = (seeds >= 0) & (seeds < 4**ls)
+        assert np.array_equal(passed[in_range], counts[in_range] > 0)
+        assert not np.any(counts[~in_range])
+
+    @settings(max_examples=30, deadline=None)
+    @given(dna(min_size=1, max_size=150), st.integers(1, 5), st.integers(1, 5))
+    def test_built_bits_equal_bits_derived_from_ptrs(self, codes, ls, step):
+        idx = build_kmer_index(codes, seed_length=ls, step=step)
+        derived = KmerSeedIndex(idx.seed_length, idx.step, idx.region_start,
+                                idx.region_end, idx.ptrs, idx.locs)
+        assert idx.present.dtype == np.uint8
+        assert idx.present.size == -(-(4**ls) // 8)
+        assert np.array_equal(idx.present, derived.present)
+
+
+class TestCheck:
+    def _index(self):
+        codes = np.random.default_rng(3).integers(0, 4, 400).astype(np.uint8)
+        idx = build_kmer_index(codes, seed_length=3, step=1)
+        idx.check()
+        return idx
+
+    def test_rejects_unsorted_group(self):
+        idx = self._index()
+        seed = int(np.argmax(np.diff(idx.ptrs)))
+        lo = int(idx.ptrs[seed])
+        idx.locs[[lo, lo + 1]] = idx.locs[[lo + 1, lo]]
+        with pytest.raises(IndexIntegrityError, match=f"seed {seed} ") as exc:
+            idx.check()
+        assert exc.value.field == "locs"
+
+    def test_rejects_repeated_location_in_group(self):
+        idx = self._index()
+        seed = int(np.argmax(np.diff(idx.ptrs)))
+        lo = int(idx.ptrs[seed])
+        idx.locs[lo + 1] = idx.locs[lo]
+        with pytest.raises(IndexIntegrityError) as exc:
+            idx.check()
+        assert exc.value.field == "locs"
+
+    @settings(max_examples=60, deadline=None)
+    @given(dna(min_size=2, max_size=120), st.integers(1, 3), st.integers(1, 3),
+           st.data())
+    def test_order_check_equals_per_seed_loop(self, codes, ls, step, data):
+        idx = build_kmer_index(codes, seed_length=ls, step=step)
+        if idx.n_locs:
+            i = data.draw(st.integers(0, idx.n_locs - 1))
+            j = data.draw(st.integers(0, idx.n_locs - 1))
+            if data.draw(st.booleans()):
+                idx.locs[[i, j]] = idx.locs[[j, i]]
+            else:
+                idx.locs[i] = idx.locs[j]
+        loop_sorted = all(
+            np.all(np.diff(idx.locs[idx.ptrs[s] : idx.ptrs[s + 1]]) > 0)
+            for s in range(idx.n_seeds)
+        )
+        try:
+            idx.check()
+        except IndexIntegrityError as exc:
+            assert exc.field == "locs" and not loop_sorted
+        else:
+            assert loop_sorted
+
+    def test_descent_across_groups_is_legal(self):
+        # groups are ordered by seed value, not by location
+        idx = self._index()
+        assert np.any(np.diff(idx.locs) < 0)
+        idx.check()
+
+    @pytest.mark.parametrize("seed", [0, 5, 63])
+    def test_rejects_flipped_present_bit(self, seed):
+        idx = self._index()
+        idx.present[seed >> 3] ^= np.uint8(1 << (seed & 7))
+        with pytest.raises(IndexIntegrityError) as exc:
+            idx.check()
+        assert exc.value.field == "present"
+
+    def test_rejects_stray_padding_bit(self):
+        idx = build_kmer_index(np.zeros(8, np.uint8), seed_length=1, step=1)
+        idx.present[0] |= np.uint8(0x80)  # 4 seeds use bits 0-3 only
+        with pytest.raises(IndexIntegrityError) as exc:
+            idx.check()
+        assert exc.value.field == "present"
 
 
 class TestSizing:

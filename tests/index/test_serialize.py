@@ -22,6 +22,8 @@ from repro.index.serialize import (
     save_searcher_bundle,
 )
 
+from tests.conftest import drop_bundle_array
+
 
 @pytest.fixture
 def ref(rng):
@@ -237,7 +239,9 @@ class TestKmerBundle:
         d = save_kmer_bundle(idx, tmp_path / "bundle")
         back = load_kmer_bundle(d, mmap=True, check=True)
         assert isinstance(back.ptrs, np.memmap)  # zero-copy load
+        assert isinstance(back.present, np.memmap)
         assert np.array_equal(back.ptrs, idx.ptrs)
+        assert np.array_equal(back.present, idx.present)
         assert np.array_equal(back.locs, idx.locs)
         assert back.seed_length == 4 and back.step == 3
         assert back.region_start == idx.region_start
@@ -249,6 +253,18 @@ class TestKmerBundle:
         back = load_kmer_bundle(d, mmap=False)
         assert not isinstance(back.locs, np.memmap)
         assert np.array_equal(back.locs, idx.locs)
+
+    def test_bundle_without_present_is_invalid(self, ref, tmp_path):
+        idx = build_kmer_index(ref, seed_length=4, step=3)
+        d = save_kmer_bundle(idx, tmp_path / "bundle")
+        drop_bundle_array(d, "present")
+        with pytest.raises(IndexError_, match="present"):
+            load_kmer_bundle(d)
+
+    def test_npz_load_derives_present(self, ref, tmp_path):
+        idx = build_kmer_index(ref, seed_length=4, step=3)
+        back = load_kmer_index(save_kmer_index(idx, tmp_path / "idx.npz"))
+        assert np.array_equal(back.present, idx.present)
 
     def test_missing_meta_is_file_not_found(self, tmp_path):
         (tmp_path / "empty").mkdir()

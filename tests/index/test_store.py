@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.index.kmer_index as kmer_index
 from repro.index.kmer_index import build_kmer_index
 from repro.index.store import (
     STORE_ENV_VAR,
@@ -19,6 +20,8 @@ from repro.index.store import (
     searcher_key,
     store_at,
 )
+
+from tests.conftest import drop_bundle_array
 
 
 @pytest.fixture
@@ -102,6 +105,29 @@ class TestTierWalk:
         assert isinstance(idx3.locs, np.memmap)  # mmap-backed
         assert np.array_equal(idx3.locs, idx1.locs)
         assert np.array_equal(idx3.ptrs, idx1.ptrs)
+
+    def test_warm_load_maps_present_without_deriving(self, ref, tmp_path,
+                                                      monkeypatch):
+        store = IndexStore(tmp_path)
+        kw = dict(seed_length=4, step=3, region_start=0, region_end=ref.size)
+        built, _, _ = store.get_or_build_row(
+            FP, build=_build_counter(ref, [], seed_length=4, step=3), **kw
+        )
+        store.clear_hot()
+
+        def no_derive(occurs):
+            raise AssertionError("present was derived on a warm load")
+
+        monkeypatch.setattr(kmer_index, "present_bits", no_derive)
+        idx, _, src = store.get_or_build_row(
+            FP, build=_build_counter(ref, [], seed_length=4, step=3), **kw
+        )
+        assert src == "warm"
+        assert isinstance(idx.present, np.memmap)
+        assert np.array_equal(idx.present, built.present)
+        assert store.stats()["bytes_mmapped"] == (
+            built.ptrs.nbytes + built.locs.nbytes + built.present.nbytes
+        )
 
     def test_counters(self, ref, tmp_path):
         store = IndexStore(tmp_path)
@@ -201,6 +227,22 @@ class TestInvalidBundleRecovery:
             FP, build=_build_counter(ref, calls, seed_length=4, step=3), **kw
         )
         assert src2 == "warm" and calls == [1]
+
+    def test_bundle_without_present_is_rebuilt_not_served(self, ref, tmp_path):
+        store = IndexStore(tmp_path)
+        kw = self._fill(store, ref)
+        store.clear_hot()
+        bundle = store.root / row_key(FP, **kw)
+        drop_bundle_array(bundle, "present")
+        calls = []
+        idx, _, src = store.get_or_build_row(
+            FP, build=_build_counter(ref, calls, seed_length=4, step=3), **kw
+        )
+        assert src == "build" and calls == [1]
+        assert store.stats()["invalid_bundles"] >= 1
+        expect = build_kmer_index(ref, seed_length=4, step=3)
+        assert np.array_equal(idx.present, expect.present)
+        assert (bundle / "present.npy").is_file()  # the rebuild persisted it
 
     def test_wiped_manifest_is_rebuilt(self, ref, tmp_path):
         store = IndexStore(tmp_path)
