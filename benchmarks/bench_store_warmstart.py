@@ -34,6 +34,8 @@ from repro.sequence.synthetic import markov_dna, plant_repeats
 
 #: Reference sizes swept (bases); scaled down by the harness divisor.
 REFERENCE_BASES = (100_000, 400_000)
+#: Fewest reference bases a swept point is scaled down to.
+MIN_BASES = 20_000
 QUERY_BASES = 2_000
 
 
@@ -111,11 +113,13 @@ def run_warmstart_experiment(n_bases: int, params: GpuMemParams) -> dict:
 def generate_series(div: int | None = None) -> str:
     from repro.bench.harness import BENCH_DIV
 
-    div = BENCH_DIV if div is None else div
+    # Cap the divisor so the smallest point keeps MIN_BASES; every point is
+    # scaled by the same divisor, so the sizes stay distinct.
+    div = min(BENCH_DIV if div is None else div, REFERENCE_BASES[0] // MIN_BASES)
     params = GpuMemParams(min_length=40, seed_length=10)
     rows = []
     for n_bases in REFERENCE_BASES:
-        out = run_warmstart_experiment(max(20_000, n_bases // div), params)
+        out = run_warmstart_experiment(n_bases // div, params)
         rows.append(
             (
                 out["n_bases"],

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(exist_ok=True)
     from repro.bench.harness import environment_info
 
-    env = environment_info()
+    env = environment_info(args.div)
     env_text = "\n".join(f"{k}: {v}" for k, v in env.items()) + "\n"
     print(env_text)
     (out_dir / "environment.txt").write_text(env_text)

@@ -14,7 +14,7 @@ It provides:
 - :mod:`repro.core` — GPUMEM itself: tiled 2-D search-space partitioning,
   lightweight ``locs``/``ptrs`` seed index (Algorithm 1), proactive load
   balancing (Algorithm 2), conflict-free parallel combine (Algorithm 3), and
-  the in-block/out-block/in-tile/out-tile staging.
+  the in-block/out-block/in-tile/out-tile staging (simulated backend).
 - :mod:`repro.baselines` — from-scratch implementations of the four CPU
   comparators: MUMmer-class full suffix array, sparseMEM, essaMEM, slaMEM.
 - :mod:`repro.bench` — the experiment harness regenerating every table and

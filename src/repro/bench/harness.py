@@ -163,8 +163,11 @@ def run_session_reuse_experiment(
     }
 
 
-def environment_info() -> dict:
-    """Capture the measurement environment for bench provenance."""
+def environment_info(div: int | None = None) -> dict:
+    """Capture the measurement environment for bench provenance.
+
+    ``div`` is the slicing divisor the run uses (default ``BENCH_DIV``).
+    """
     import platform
 
     import numpy
@@ -177,7 +180,7 @@ def environment_info() -> dict:
         "repro": repro.__version__,
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),
-        "bench_div": BENCH_DIV,
+        "bench_div": BENCH_DIV if div is None else div,
     }
 
 

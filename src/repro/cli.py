@@ -247,7 +247,7 @@ def cmd_match(args) -> int:
             prefix = f"{strand}\t" if args.both_strands else ""
             print(f"{prefix}{r + 1}\t{q + 1}\t{length}")
     if args.verbose:
-        for key in ("index_time", "match_time", "host_merge_time", "total_time",
+        for key in ("index_time", "match_time", "total_time",
                     "sim_total_seconds"):
             if key in stats:
                 print(f"# {key}: {stats[key]:.4f}s", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 :class:`GpuMem` is the one-shot entry point over the staged pipeline of
 :mod:`repro.core.pipeline` (Figure 1 of the paper: per-row seed index →
-per-tile match → host merge). Each call binds a transient
+per-tile match; the simulated backend adds the host merge). Each call binds a transient
 :class:`repro.core.session.MemSession`; many-query workloads should hold a
 session directly so the per-row indexes are built once and reused.
 

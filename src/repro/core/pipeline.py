@@ -1,18 +1,19 @@
 """The staged GPUMEM extraction pipeline (paper Figure 1, made explicit).
 
-The dataflow — per-row seed index → per-tile match → host merge — used to
-be re-implemented as near-identical inline loops in the matcher, the
+The dataflow — per-row seed index → per-tile match — used to be
+re-implemented as near-identical inline loops in the matcher, the
 index-only timer, and the multi-device path. This module is the single
-implementation, decomposed into four stage objects composed by a
+implementation, decomposed into three stage objects composed by a
 :class:`Pipeline`:
 
 - :class:`PrepStage` — query-side preparation (k-mer codes; the run also
   packs the query once for every comparison of the run);
 - :class:`RowIndexStage` — the per-row partial seed index, optionally
   served from a cache (see :class:`repro.core.session.MemSession`);
-- :class:`TileMatchStage` — candidate generation + maximal extension +
-  in/out-tile split for every tile of a row;
-- :class:`HostMergeStage` — the global out-tile merge (§III-C2).
+- :class:`TileMatchStage` — candidate generation + extension of each
+  MEM's leftmost sampled seed hit for every tile of a row. Every MEM comes
+  out of exactly one tile, so there is no host merge (§III-C2 is
+  simulated-only, :mod:`repro.core.simulated`).
 
 Rows are independent work units. ``params.executor`` picks how they run:
 ``"serial"`` loops over them in-process; ``"process"`` ships contiguous row
@@ -22,8 +23,8 @@ bookkeeping lives in the typed
 historical ``stats["key"]`` consumers keep working unchanged.
 
 Observability: pass ``tracer=`` (a :class:`repro.obs.Tracer`) to record
-``stage:prep`` / ``stage:row_index`` / ``stage:tile_match`` /
-``stage:host_merge`` spans plus per-stage counters into
+``stage:prep`` / ``stage:row_index`` / ``stage:tile_match`` spans plus
+per-stage counters into
 ``tracer.metrics`` (see ``docs/observability.md``). Without a tracer the
 instrumentation degrades to shared no-op objects.
 """
@@ -37,7 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.host_merge import host_merge
+# No caller here: the traced benchmark run (perfbench/spans.py) patches it by name.
+from repro.core.host_merge import host_merge  # noqa: F401
 from repro.core.params import GpuMemParams
 from repro.core.tiling import TilePlan
 from repro.core.vectorized import stage_tile
@@ -98,12 +100,10 @@ class PipelineStats:
     n_cols: int = 0
     n_tiles: int = 0
     n_candidates: int = 0
-    n_in_tile: int = 0
-    n_out_tile_fragments: int = 0
-    n_crossing_mems: int = 0
     prep_time: float = 0.0
     index_time: float = 0.0
     match_time: float = 0.0
+    #: Always 0.0: the vectorized path has no host merge.
     host_merge_time: float = 0.0
     total_time: float = 0.0
     max_index_bytes: int = 0
@@ -188,22 +188,13 @@ class RowResult:
     """Everything one tile row produced, plus its measured cost."""
 
     row: int
-    in_tile: np.ndarray
-    out_tile: np.ndarray
+    mems: np.ndarray
     n_candidates: int = 0
     index_seconds: float = 0.0
     match_seconds: float = 0.0
     index_bytes: int = 0
     index_locs: int = 0
     cache_hit: bool = False
-
-    @property
-    def n_in_tile(self) -> int:
-        return int(self.in_tile.size)
-
-    @property
-    def n_out_tile(self) -> int:
-        return int(self.out_tile.size)
 
 
 class PrepStage:
@@ -268,7 +259,7 @@ class RowIndexStage:
 
 
 class TileMatchStage:
-    """Candidates → extension → in/out split for every tile of one row.
+    """Candidates → leftmost-hit extension for every tile of one row.
 
     With a real tracer attached, the stage also feeds the Algorithm-2
     load-balance counters: every query seed position is one thread slot,
@@ -290,9 +281,8 @@ class TileMatchStage:
         plan: TilePlan,
         row: int,
         index: KmerSeedIndex,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        in_parts: list[np.ndarray] = []
-        out_parts: list[np.ndarray] = []
+    ) -> tuple[np.ndarray, int]:
+        parts: list[np.ndarray] = []
         n_candidates = 0
         metrics = self.tracer.metrics
         slots = active = idle = redistributed = 0
@@ -301,10 +291,8 @@ class TileMatchStage:
                 reference, query, query_kmers, tile, index, self.params.min_length
             )
             n_candidates += result.n_candidates
-            if result.in_tile.size:
-                in_parts.append(result.in_tile)
-            if result.out_tile.size:
-                out_parts.append(result.out_tile)
+            if result.mems.size:
+                parts.append(result.mems)
             if metrics.enabled:
                 n_slots = result.n_query_seeds
                 n_active = result.n_query_seeds_with_hits
@@ -318,27 +306,7 @@ class TileMatchStage:
             metrics.counter("load_balance.active_seeds").inc(active)
             metrics.counter("load_balance.idle_threads").inc(idle)
             metrics.counter("load_balance.redistributed_threads").inc(redistributed)
-        return concat_triplets(in_parts), concat_triplets(out_parts), n_candidates
-
-
-class HostMergeStage:
-    """Global merge of boundary-touching fragments (§III-C2)."""
-
-    def __init__(self, params: GpuMemParams):
-        self.params = params
-
-    def run(
-        self,
-        reference: np.ndarray,
-        query: np.ndarray,
-        row_results: list[RowResult],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        t0 = time.perf_counter()
-        out_tile = concat_triplets([r.out_tile for r in row_results])
-        crossing = host_merge(reference, query, out_tile, self.params.min_length)
-        mems = concat_triplets([r.in_tile for r in row_results] + [crossing])
-        seconds = time.perf_counter() - t0
-        return mems, crossing, out_tile, seconds
+        return concat_triplets(parts), n_candidates
 
 
 class Pipeline:
@@ -356,7 +324,6 @@ class Pipeline:
         prep: PrepStage | None = None,
         row_index: RowIndexStage | None = None,
         tile_match: TileMatchStage | None = None,
-        merge: HostMergeStage | None = None,
         tracer: Tracer | None = None,
     ):
         self.params = params
@@ -367,7 +334,6 @@ class Pipeline:
         # counters land in the same run.
         self.tile_match = tile_match or TileMatchStage(params, tracer=self.tracer)
         self.tile_match.tracer = self.tracer
-        self.merge = merge or HostMergeStage(params)
 
     @property
     def workers(self) -> int:
@@ -408,14 +374,13 @@ class Pipeline:
             sp.set(cache_hit=cache_hit, index_locs=index.n_locs)
         t0 = time.perf_counter()
         with tracer.span("stage:tile_match", cat="pipeline", row=row) as sp:
-            in_tile, out_tile, n_candidates = self.tile_match.run(
+            mems, n_candidates = self.tile_match.run(
                 packed_reference, packed_query, query_kmers, plan, row, index,
             )
-            sp.set(n_candidates=n_candidates, n_in_tile=int(in_tile.size))
+            sp.set(n_candidates=n_candidates, n_mems=int(mems.size))
         return RowResult(
             row=row,
-            in_tile=in_tile,
-            out_tile=out_tile,
+            mems=mems,
             n_candidates=n_candidates,
             index_seconds=index_seconds,
             match_seconds=time.perf_counter() - t0,
@@ -438,7 +403,7 @@ class Pipeline:
         the row-index stage and, through its ``packed_reference``
         attribute, the reference packing; ``query_kmers`` short-circuits
         the k-mer step of prep when the caller already holds the rolling
-        codes. The query is packed once here for every tile and the merge.
+        codes. The query is packed once here for every tile.
         """
         run_t0 = time.perf_counter()
         tracer = self.tracer
@@ -474,15 +439,7 @@ class Pipeline:
                     )
                     for row in range(plan.n_rows)
                 ]
-
-            with tracer.span("stage:host_merge", cat="pipeline") as sp:
-                mems, crossing, out_tile, merge_seconds = self.merge.run(
-                    packed_reference, packed_query, row_results
-                )
-                sp.set(
-                    n_out_tile_fragments=int(out_tile.size),
-                    n_crossing_mems=int(crossing.size),
-                )
+            mems = concat_triplets([r.mems for r in row_results])
             run_span.set(n_mems=int(mems.size))
 
         stats = PipelineStats(
@@ -492,13 +449,9 @@ class Pipeline:
             n_cols=plan.n_cols,
             n_tiles=plan.n_tiles,
             n_candidates=sum(r.n_candidates for r in row_results),
-            n_in_tile=sum(r.n_in_tile for r in row_results),
-            n_out_tile_fragments=int(out_tile.size),
-            n_crossing_mems=int(crossing.size),
             prep_time=prep_time,
             index_time=sum(r.index_seconds for r in row_results),
             match_time=sum(r.match_seconds for r in row_results),
-            host_merge_time=merge_seconds,
             total_time=time.perf_counter() - run_t0,
             max_index_bytes=max((r.index_bytes for r in row_results), default=0),
             max_index_locs=max((r.index_locs for r in row_results), default=0),
@@ -555,20 +508,13 @@ class Pipeline:
         metrics.counter("stage.candidates", stage="tile_match").inc(
             stats.n_candidates
         )
-        metrics.counter("stage.mems", stage="tile_match").inc(stats.n_in_tile)
-        metrics.counter("stage.fragments", stage="host_merge").inc(
-            stats.n_out_tile_fragments
-        )
-        metrics.counter("stage.mems", stage="host_merge").inc(
-            stats.n_crossing_mems
-        )
+        metrics.counter("stage.mems", stage="tile_match").inc(n_mems)
         metrics.counter("index.cache.hits").inc(stats.index_cache_hits)
         metrics.counter("index.cache.misses").inc(stats.index_cache_misses)
         for stage, seconds in (
             ("prep", stats.prep_time),
             ("row_index", stats.index_time),
             ("tile_match", stats.match_time),
-            ("host_merge", stats.host_merge_time),
         ):
             metrics.histogram("stage.seconds", stage=stage).observe(seconds)
         metrics.histogram("pipeline.total_seconds").observe(stats.total_time)

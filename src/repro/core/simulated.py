@@ -214,6 +214,10 @@ def simulated_find_mems(
     if metrics.enabled:
         metrics.counter("pipeline.runs", backend="simulated").inc()
         metrics.counter("pipeline.mems", backend="simulated").inc(int(mems.size))
+        metrics.counter("stage.fragments", stage="host_merge").inc(
+            int(out_tile_all.size)
+        )
+        metrics.counter("stage.mems", stage="host_merge").inc(int(crossing.size))
         for stage, seconds in (
             ("row_index", index_seconds),
             ("tile_match", stats["sim_match_seconds"]),

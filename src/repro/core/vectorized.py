@@ -1,10 +1,8 @@
 """Vectorized (NumPy) implementation of the GPUMEM tile stage.
 
-This is the production fast path: it computes exactly what the simulated GPU
-kernels compute per tile — seed-hit candidate generation, maximal extension
-clipped to the tile box, and the in-tile / out-tile split — but expressed as
-whole-array operations instead of per-thread programs. The two backends are
-tested to produce identical MEM sets.
+This is the production fast path: it finds the same MEM set as the
+simulated GPU kernels, as whole-array operations instead of per-thread
+programs. The two backends are tested to produce identical MEM sets.
 
 Key semantics (DESIGN.md §5):
 
@@ -13,10 +11,13 @@ Key semantics (DESIGN.md §5):
   ``reference``/``query`` are code arrays or
   :class:`~repro.index.compare.PackedCodes`; the pipeline passes the
   packings it made once per session and per run.
-- A triplet whose maximal in-tile extension reaches the tile box is marked
-  *touching* and forwarded to the host stage regardless of length; in-tile
-  MEMs (mismatch-delimited strictly inside the box) are final and filtered
-  by ``min_length`` immediately.
+- Each MEM is extended once, from its leftmost sampled seed hit. Query
+  seeds sit at every position and reference seeds on one global Δs grid,
+  so a hit whose left run is at least Δs has a twin hit Δs to its left
+  inside the same MEM. Only hits whose left run is below Δs are extended,
+  and each MEM of length ≥ L has exactly one of them (DESIGN.md §5
+  note 7). No tile box clips the extension and no tile's output needs
+  deduplication or a host merge.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from repro.core.tiling import Tile
 from repro.index.compare import common_prefix_len, common_suffix_len
 from repro.index.kmer_index import KmerSeedIndex
-from repro.types import empty_triplets, make_triplets, unique_mems
+from repro.types import empty_triplets, make_triplets
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,10 +54,9 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, n
 
 @dataclass
 class TileStageResult:
-    """Output of one tile: final in-tile MEMs + boundary-touching fragments."""
+    """Output of one tile: the MEMs whose leftmost sampled seed hit is in it."""
 
-    in_tile: np.ndarray
-    out_tile: np.ndarray
+    mems: np.ndarray
     n_candidates: int = 0
     n_query_seeds_with_hits: int = 0
     n_query_seeds: int = 0
@@ -99,51 +99,33 @@ def tile_candidates(
 def extend_and_classify(
     reference: np.ndarray,
     query: np.ndarray,
-    tile: Tile,
     r: np.ndarray,
     q: np.ndarray,
     seed_length: int,
+    step: int,
     min_length: int,
-) -> TileStageResult:
-    """Maximally extend candidates within the tile box and split the output.
+) -> np.ndarray:
+    """Keep each MEM's leftmost sampled seed hit and extend it to the MEM.
 
-    For each aligned seed pair ``(r, q)``:
+    For each aligned seed pair ``(r, q)`` (``r`` on the global ``step``
+    grid):
 
-    - extend left up to the box (``limit = min(r - r0, q - q0)``); hitting
-      the limit marks the triplet *touching*;
-    - extend right from the seed end likewise;
-    - mismatch-delimited triplets of length ≥ ``min_length`` are in-tile
-      MEMs (already globally maximal — reads cross the border, so a
-      mismatch is a real mismatch); touching triplets go to the host stage
-      whatever their length (DESIGN.md §5 note 1).
+    - extend left with ``limit = step``; a hit whose left run reaches
+      ``step`` is not the leftmost sampled hit of its MEM and is dropped;
+    - the survivors' left runs are exact; extend them right from the seed
+      end, unclipped;
+    - triplets of length ≥ ``min_length`` are the MEMs, each exactly once.
     """
-    n_cand = r.size
-    if n_cand == 0:
-        return TileStageResult(in_tile=empty_triplets(), out_tile=empty_triplets())
-
-    # Left extension. The *true* maximal extension is computed (reads may
-    # cross the border); a triplet is touching only if the extension
-    # strictly crosses the box, so a mismatch that happens to sit exactly on
-    # the boundary still yields a final in-tile MEM.
-    dl = np.minimum(r - tile.r_start, q - tile.q_start)
-    le = common_suffix_len(reference, query, r, q)
-    touching_left = le > dl
-    le = np.minimum(le, dl)
-
-    # Right extension beyond the seed, same precise-touching rule. ``cap``
-    # can be negative when the seed window itself sticks out of the box.
-    cap = np.minimum(tile.r_end - r, tile.q_end - q) - seed_length
+    if r.size == 0:
+        return empty_triplets()
+    le = common_suffix_len(reference, query, r, q, limit=step)
+    first = le < step
+    r, q, le = r[first], q[first], le[first]
     re = common_prefix_len(reference, query, r + seed_length, q + seed_length)
-    touching_right = re > cap
-    re = np.minimum(re, np.maximum(cap, 0))
-
-    length = seed_length + le + re
-    trips = make_triplets(r - le, q - le, length)
-    touching = touching_left | touching_right
-
-    in_tile = unique_mems(trips[~touching & (length >= min_length)])
-    out_tile = unique_mems(trips[touching])
-    return TileStageResult(in_tile=in_tile, out_tile=out_tile, n_candidates=n_cand)
+    length = le + seed_length + re
+    keep = length >= min_length
+    le = le[keep]
+    return make_triplets(r[keep] - le, q[keep] - le, length[keep])
 
 
 def stage_tile(
@@ -154,14 +136,17 @@ def stage_tile(
     index: KmerSeedIndex,
     min_length: int,
 ) -> TileStageResult:
-    """Full tile stage: candidates → extension → in/out split."""
+    """Full tile stage: candidates → leftmost-hit extension → MEMs."""
     r, q, counts = tile_candidates(
         query_kmers, tile, index, len(query), index.seed_length
     )
-    result = extend_and_classify(
-        reference, query, tile, r, q, index.seed_length, min_length
+    mems = extend_and_classify(
+        reference, query, r, q, index.seed_length, index.step, min_length
     )
     q_lo, q_hi = query_seed_range(tile, len(query), index.seed_length)
-    result.n_query_seeds = max(0, q_hi - q_lo)
-    result.n_query_seeds_with_hits = int((counts > 0).sum())
-    return result
+    return TileStageResult(
+        mems=mems,
+        n_candidates=int(r.size),
+        n_query_seeds=max(0, q_hi - q_lo),
+        n_query_seeds_with_hits=int((counts > 0).sum()),
+    )

@@ -262,18 +262,14 @@ class IndexStore:
 
         An unreadable bundle (external truncation — atomic publication
         means we never create one) is treated as a miss; the cold path
-        clears it under the key's file lock before persisting a rebuild.
+        counts it in ``invalid_bundles`` and clears it under the key's file
+        lock before persisting a rebuild, so each rebuild counts it once.
         """
         path = self.root / key
         try:
             with tracer.span("store.load", cat="store", key=key):
                 return loader(path)
-        except FileNotFoundError:
-            return None
-        except IndexError_:
-            self._count("invalid_bundles")
-            if tracer.metrics.enabled:
-                tracer.metrics.counter("index.store.invalid_bundles").inc()
+        except (FileNotFoundError, IndexError_):
             return None
 
     def _get_or_build(self, key: str, *, loader, builder, persister,
@@ -315,6 +311,9 @@ class IndexStore:
                 if path.exists():
                     # Invalid bundle found by _try_load: clear it (we hold
                     # the build lock) so the rebuild publishes cleanly.
+                    self._count("invalid_bundles")
+                    if metrics.enabled:
+                        metrics.counter("index.store.invalid_bundles").inc()
                     shutil.rmtree(path, ignore_errors=True)
                 with tracer.span("store.build", cat="store", key=key):
                     value, seconds = builder()

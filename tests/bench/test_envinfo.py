@@ -9,3 +9,7 @@ def test_environment_info_fields():
         assert key in env
     assert env["repro"]
     assert isinstance(env["bench_div"], int)
+
+
+def test_environment_info_records_the_divisor_used():
+    assert environment_info(100)["bench_div"] == 100

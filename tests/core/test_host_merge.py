@@ -5,7 +5,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.combine import chain_merge_expected
 from repro.core.host_merge import combine_diagonal, finalize_mems, host_merge
-from repro.types import triplets_from_tuples
+from repro.core.reference import brute_force_mems
+from repro.types import mems_equal, triplets_from_tuples
+
+from tests.conftest import dna
+
+
+def tile_fragments(mems, size, keep):
+    """Each MEM cut at the borders of a ``size``-square tile grid; ``keep``
+    picks which of a MEM's pieces survive (at least one)."""
+    frags = []
+    for r, q, n in (tuple(map(int, m)) for m in mems):
+        cuts = [k for k in range(1, n) if (r + k) % size == 0 or (q + k) % size == 0]
+        bounds = [0, *cuts, n]
+        pieces = [(r + a, q + a, b - a) for a, b in zip(bounds, bounds[1:])]
+        frags += [p for i, p in enumerate(pieces) if keep(i, len(pieces))]
+    return triplets_from_tuples(frags)
 
 
 class TestCombineDiagonal:
@@ -143,3 +158,18 @@ class TestHostMerge:
         frags = triplets_from_tuples([(0, 0, 3), (5, 5, 3)])
         out = host_merge(R, Q, frags, 2)
         assert {tuple(map(int, m)) for m in out} == {(0, 0, 3), (5, 5, 3)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(dna(min_size=8, max_size=60, alphabet=2),
+           dna(min_size=8, max_size=60, alphabet=2), st.data())
+    def test_host_merge_ignores_out_tile_order(self, R, Q, data):
+        """Tile-border fragments of every MEM, some pieces missing, merge
+        back to the MEM set whatever their order."""
+        L, size = 3, 12
+        mems = brute_force_mems(R, Q, L)
+        drop = data.draw(st.sets(st.integers(0, 8)))
+        frags = tile_fragments(mems, size, lambda i, n: i == 0 or i not in drop)
+        merged = host_merge(R, Q, frags, L)
+        perm = np.array(data.draw(st.permutations(range(frags.size))), dtype=np.int64)
+        assert host_merge(R, Q, frags[perm], L).tobytes() == merged.tobytes()
+        assert mems_equal(merged, mems)

@@ -33,6 +33,17 @@ class TestExpandTripletsInBox:
         assert inside.size == 0
         assert [tuple(map(int, m)) for m in touching] == [(0, 0, 4)]  # clipped
 
+    def test_mismatch_exactly_on_boundary_is_final(self):
+        # DESIGN.md §5: precise touching — a true mismatch on the box edge
+        # still yields an in-tile MEM
+        R = np.array([0, 1, 3], dtype=np.uint8)
+        Q = np.array([0, 1, 2], dtype=np.uint8)
+        inside, touching, _ = expand_triplets_in_box(
+            R, Q, triplets_from_tuples([(0, 0, 2)]), box(0, 2, 0, 2)
+        )
+        assert [tuple(map(int, m)) for m in inside] == [(0, 0, 2)]
+        assert touching.size == 0
+
     def test_empty(self):
         R = np.zeros(4, dtype=np.uint8)
         inside, touching, ops = expand_triplets_in_box(
@@ -73,6 +84,14 @@ class TestTileCombine:
         in_tile, out_tile = tile_combine(R, Q, box(0, 4, 0, 4), frags, 2)
         assert in_tile.size == 0
         assert out_tile.size == 1
+
+    def test_short_touching_fragment_kept(self):
+        # DESIGN.md §5 note 1: boundary fragments are never length-filtered
+        R = np.zeros(4, dtype=np.uint8)
+        frags = triplets_from_tuples([(0, 0, 2)])
+        in_tile, out_tile = tile_combine(R, R, box(0, 2, 0, 2), frags, 100)
+        assert in_tile.size == 0
+        assert out_tile.size == 1  # kept although λ << min_length
 
     def test_min_length_filter_only_for_in_tile(self):
         R = np.array([3, 0, 1, 3], dtype=np.uint8)

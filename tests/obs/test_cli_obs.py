@@ -45,7 +45,8 @@ class TestMatchTrace:
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"pipeline.run", "stage:prep", "stage:row_index",
-                "stage:tile_match", "stage:host_merge"} <= names
+                "stage:tile_match"} <= names
+        assert "stage:host_merge" not in names
         assert "session.cache.queries" in doc["metrics"]
         err = capsys.readouterr().err
         assert "# trace:" in err
