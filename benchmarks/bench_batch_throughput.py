@@ -124,7 +124,7 @@ def run_batch_throughput_experiment(reference, queries, params) -> dict:
 
 def generate_series(div: int | None = None) -> str:
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     out = run_batch_throughput_experiment(reference, queries, params)
     def rows_of(sweep, tier):
         return [
@@ -233,7 +233,7 @@ def generate_obs_overhead_series(div: int | None = None) -> str:
     reference, queries = _workload(
         n_queries=OBS_N_QUERIES, query_bases=OBS_QUERY_BASES
     )
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     out = run_obs_overhead_experiment(reference, queries, params)
     lines = [
         "== Observability overhead: process tier, obs off vs on "
@@ -267,7 +267,7 @@ def generate_obs_overhead_series(div: int | None = None) -> str:
 
 def bench_batch_throughput_4(benchmark):
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     session = MemSession(reference, params)
     session.warm()
     runner = BatchRunner(session, workers=4)

@@ -118,7 +118,7 @@ def run_lock_contention_experiment(reference, queries, params) -> dict:
 
 def generate_series(div: int | None = None) -> str:
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     out = run_lock_contention_experiment(reference, queries, params)
     rows = [
         ("off", round(out["plain_seconds"], 4), round(out["plain_qps"], 2)),
@@ -153,7 +153,7 @@ def generate_series(div: int | None = None) -> str:
 
 def bench_lock_contention_tracked(benchmark):
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     tracker = LockTracker(mode="raise")
     session = MemSession(reference, params, lock_factory=tracker.lock)
     session.warm()

@@ -158,7 +158,7 @@ def run_resource_tracker_experiment(reference, queries, params) -> dict:
 
 def generate_series(div: int | None = None) -> str:
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     out = run_resource_tracker_experiment(reference, queries, params)
     rows = [
         ("off", round(out["plain_seconds"], 4), round(out["plain_qps"], 2),
@@ -192,7 +192,7 @@ def generate_series(div: int | None = None) -> str:
 
 def bench_resource_tracker_on(benchmark):
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     tracker = ResourceTracker(mode="raise")
     rt.install(tracker)
     session = MemSession(reference, params)

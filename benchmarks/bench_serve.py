@@ -126,7 +126,7 @@ def run_serve_experiment(reference, requests, params) -> dict:
 
 def generate_series(div: int | None = None) -> str:
     reference, requests = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     out = run_serve_experiment(reference, requests, params)
     lines = [
         "== Serving: MemServer thread tier vs serial loop "
@@ -166,7 +166,7 @@ def generate_series(div: int | None = None) -> str:
 
 def bench_serve_throughput(benchmark):
     reference, requests = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     session = MemSession(reference, params)
     session.warm()
 

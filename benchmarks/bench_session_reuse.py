@@ -51,7 +51,7 @@ def _workload(rng_seed: int = 41):
 
 def generate_series(div: int | None = None) -> str:
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     rows = []
     for n in N_QUERIES:
         out = run_session_reuse_experiment(reference, queries[:n], params)
@@ -87,7 +87,7 @@ def generate_series(div: int | None = None) -> str:
 
 def bench_session_reuse_16(benchmark):
     reference, queries = _workload()
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     from repro.core.session import MemSession
 
     def run():

@@ -2,13 +2,13 @@
 
 The tiered :class:`repro.index.store.IndexStore` exists so a *restarted*
 process stops paying Table III's index-construction cost: the first session
-builds and persists every row bundle; every later session (same reference,
-same params, any process) mmaps them back in. This benchmark measures
-exactly that contract on one reference:
+builds and persists the reference's index bundle; every later session (same
+reference, same params, any process) mmaps it back in. This benchmark
+measures exactly that contract on one reference:
 
-- ``cold``  — fresh session + empty store: build + persist every row.
+- ``cold``  — fresh session + empty store: build + persist the index.
 - ``warm``  — fresh session + populated store, hot tier dropped (as a
-  process restart would): every row served by ``np.load(mmap_mode='r')``.
+  process restart would): the index served by ``np.load(mmap_mode='r')``.
 - ``rebuild`` — fresh session with no store at all (the pre-store
   behaviour), as the baseline the warm path is saved from.
 
@@ -90,14 +90,12 @@ def run_warmstart_experiment(n_bases: int, params: GpuMemParams) -> dict:
                 f"(|R|={n_bases}): refusing to report timings"
             )
         stats = store.stats()
-        if stats["builds"] != cold_session.n_rows:
+        if stats["builds"] != 1:
             raise AssertionError(
-                f"expected exactly one build per row, saw {stats['builds']} "
-                f"builds for {cold_session.n_rows} rows"
+                f"expected exactly one index build, saw {stats['builds']}"
             )
         return {
             "n_bases": n_bases,
-            "n_rows": cold_session.n_rows,
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "rebuild_seconds": rebuild_seconds,
@@ -116,14 +114,13 @@ def generate_series(div: int | None = None) -> str:
     # Cap the divisor so the smallest point keeps MIN_BASES; every point is
     # scaled by the same divisor, so the sizes stay distinct.
     div = min(BENCH_DIV if div is None else div, REFERENCE_BASES[0] // MIN_BASES)
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     rows = []
     for n_bases in REFERENCE_BASES:
         out = run_warmstart_experiment(n_bases // div, params)
         rows.append(
             (
                 out["n_bases"],
-                out["n_rows"],
                 round(out["cold_seconds"], 4),
                 round(out["warm_seconds"], 4),
                 round(out["rebuild_seconds"], 4),
@@ -135,11 +132,11 @@ def generate_series(div: int | None = None) -> str:
         )
     lines = [
         "== Index-store warm start: cold build+persist vs mmap reload "
-        f"(L=40, ls=10, |Q|={QUERY_BASES:,}) =="
+        f"(L=40, ls={params.seed_length}, |Q|={QUERY_BASES:,}) =="
     ]
     lines.append(
         series_csv(
-            ["n_bases", "n_rows", "cold_seconds", "warm_seconds",
+            ["n_bases", "cold_seconds", "warm_seconds",
              "rebuild_seconds", "warmstart_speedup", "warm_hits",
              "bytes_mmapped", "n_mems"],
             rows,
@@ -147,14 +144,14 @@ def generate_series(div: int | None = None) -> str:
     )
     last = rows[-1]
     lines.append(
-        f"# warm start at |R|={last[0]:,}: {last[3]}s vs {last[4]}s rebuild "
-        f"({last[5]}x; acceptance bar: warm well under rebuild)"
+        f"# warm start at |R|={last[0]:,}: {last[2]}s vs {last[3]}s rebuild "
+        f"({last[4]}x; acceptance bar: warm well under rebuild)"
     )
     return "\n".join(lines) + "\n"
 
 
 def bench_store_warmstart(benchmark):
-    params = GpuMemParams(min_length=40, seed_length=10)
+    params = GpuMemParams(min_length=40)
     reference = _reference(50_000)
     cache_dir = tempfile.mkdtemp(prefix="repro-store-bench-")
     try:

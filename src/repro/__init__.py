@@ -11,10 +11,12 @@ It provides:
   FM-index, sparse suffix array, enhanced suffix array, k-mer index).
 - :mod:`repro.gpu` — a functional SIMT GPU simulator with a warp-level cost
   model, substituting for the paper's Tesla K20c.
-- :mod:`repro.core` — GPUMEM itself: tiled 2-D search-space partitioning,
-  lightweight ``locs``/``ptrs`` seed index (Algorithm 1), proactive load
-  balancing (Algorithm 2), conflict-free parallel combine (Algorithm 3), and
-  the in-block/out-block/in-tile/out-tile staging (simulated backend).
+- :mod:`repro.core` — GPUMEM itself: a sorted-key sampled seed index with
+  chunked seed matching (vectorized backend), and on the simulated GPU the
+  paper's tiled 2-D search-space partitioning, ``locs``/``ptrs`` seed index
+  (Algorithm 1), proactive load balancing (Algorithm 2), conflict-free
+  parallel combine (Algorithm 3), and the in-block/out-block/in-tile/out-tile
+  staging.
 - :mod:`repro.baselines` — from-scratch implementations of the four CPU
   comparators: MUMmer-class full suffix array, sparseMEM, essaMEM, slaMEM.
 - :mod:`repro.bench` — the experiment harness regenerating every table and

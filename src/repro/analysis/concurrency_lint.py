@@ -15,7 +15,7 @@ Lock protocol annotation
 A class declares which attributes a lock guards with a trailing comment
 on the lock's creation line::
 
-    self._lock = threading.Lock()  # guards: _row_indexes, _hits, _misses
+    self._lock = threading.Lock()  # guards: _index, _hits, _misses
 
 Module-level locks use the same convention::
 

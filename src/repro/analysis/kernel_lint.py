@@ -41,9 +41,9 @@ Rules
 ``KL202`` **narrowing dtype** *(warning, module scope)*
     An ``int32``/``int16``/``uint32`` dtype request (``dtype=np.int32`` or
     ``.astype(np.int32)``). Triplet components (``r``, ``q``, ``length``),
-    ``locs`` and ``ptrs`` are int64 by contract (chromosome-scale offsets
-    overflow int32); narrowing them is the copMEM-style sampling-index bug
-    class.
+    ``locs``, ``keys`` and ``ptrs`` are int64 by contract (chromosome-scale
+    offsets overflow int32); narrowing them is the copMEM-style
+    sampling-index bug class.
 
 A finding on a line whose trailing comment contains ``simt: ignore`` (or
 ``simt: ignore[KL103]`` for one rule) is suppressed.

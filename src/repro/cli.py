@@ -48,19 +48,31 @@ def _read_single_fasta(path: str, invalid: str) -> np.ndarray:
     return np.concatenate([r.codes for r in records])
 
 
+SEED_LENGTH_HELP = (
+    "indexing seed length ℓs (default: min(31, L + 1 - ceil(L/3)) on the "
+    "vectorized backend, min(10, L) on the simulated one)"
+)
+
+
+def _seed_length(seed_length: int | None, min_length: int) -> int | None:
+    """``-s`` clamped to L (``-s > -l`` is clamped by design); ``None``
+    keeps the backend's default."""
+    return None if seed_length is None else min(seed_length, min_length)
+
+
 def _add_match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("reference", help="reference FASTA file")
     p.add_argument("-l", "--min-length", type=int, default=50,
                    help="minimum MEM length L (default 50)")
-    p.add_argument("-s", "--seed-length", type=int, default=10,
-                   help="indexing seed length ℓs (default 10)")
+    p.add_argument("-s", "--seed-length", type=int, default=None,
+                   help=SEED_LENGTH_HELP)
     p.add_argument("--step", type=int, default=None,
                    help="indexing step Δs (default: the Eq. 1 maximum)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
     p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
-                   help="run tile rows in-process (serial, the default) or "
-                        "as row bands on worker processes (process)")
+                   help="match the query in-process (serial, the default) or "
+                        "as bands of query seeds on worker processes (process)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="process count of --executor process "
                         "(default: CPU count, capped at 8)")
@@ -71,7 +83,7 @@ def _add_match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics", action="store_true",
                    help="print the run's metrics registry to stderr")
     p.add_argument("--index-store", metavar="DIR", default=None,
-                   help="persistent index store: cache row indexes under DIR "
+                   help="persistent index store: cache seed indexes under DIR "
                         "so later runs (and worker processes) warm-start "
                         "from disk instead of rebuilding "
                         "(same as REPRO_INDEX_STORE=DIR)")
@@ -139,7 +151,7 @@ def cmd_match(args) -> int:
     from repro.sequence.fasta import read_fasta
 
     reference = _read_single_fasta(args.reference, args.invalid)
-    seed_length = min(args.seed_length, args.min_length)
+    seed_length = _seed_length(args.seed_length, args.min_length)
     tracer = _make_cli_tracer(args)
     store = _activate_index_store(args)
     common = dict(
@@ -152,8 +164,8 @@ def cmd_match(args) -> int:
         from repro.core.session import MemSession
         from repro.sequence.fasta import iter_fasta
 
-        # One session for all records: the reference's row indexes are
-        # built on the first record and reused for every later one.
+        # One session for all records: the reference's index is built on
+        # the first record and reused for every later one.
         session = MemSession(
             reference, _Params(min_length=args.min_length, **common),
             tracer=tracer,
@@ -196,7 +208,7 @@ def cmd_match(args) -> int:
             info = session.cache_info()
             print(f"# records: {n_records}  matches: {total}  "
                   f"errors: {n_errors}  "
-                  f"index rows cached: {info['n_cached']}  "
+                  f"index cached: {info['n_cached']}  "
                   f"cache hits: {info['hits']}", file=sys.stderr)
             _print_store_stats(store)
         _emit_observability(args, tracer)
@@ -269,7 +281,7 @@ def cmd_map(args) -> int:
         min_seed=args.min_seed,
         tolerance=args.tolerance,
         tracer=tracer,
-        seed_length=min(args.seed_length, args.min_seed),
+        seed_length=_seed_length(args.seed_length, args.min_seed),
         step=args.step,
         executor=args.executor,
         workers=args.workers,
@@ -297,7 +309,7 @@ def cmd_map(args) -> int:
     if args.verbose:
         info = mapper.session.cache_info()
         print(f"# reads: {n_reads}  mapped: {n_mapped}  errors: {n_errors}  "
-              f"index rows cached: {info['n_cached']}", file=sys.stderr)
+              f"index cached: {info['n_cached']}", file=sys.stderr)
     _emit_observability(args, tracer)
     return 1 if n_errors else 0
 
@@ -352,7 +364,7 @@ def cmd_serve(args) -> int:
             telemetry_interval=args.stats_interval,
             tracer=tracer,
             min_length=args.min_length,
-            seed_length=min(args.seed_length, args.min_length),
+            seed_length=_seed_length(args.seed_length, args.min_length),
             step=args.step,
         ) as server:
             for n, raw in enumerate(stream):
@@ -489,7 +501,7 @@ def cmd_index(args) -> int:
     store = _activate_index_store(args)
     params = GpuMemParams(
         min_length=args.min_length,
-        seed_length=min(args.seed_length, args.min_length),
+        seed_length=_seed_length(args.seed_length, args.min_length),
         step=args.step,
         executor=args.executor,
         workers=args.workers,
@@ -573,7 +585,7 @@ def cmd_profile(args) -> int:
     tracer = _make_cli_tracer(args)
     params = GpuMemParams(
         min_length=args.min_length,
-        seed_length=min(args.seed_length, args.min_length),
+        seed_length=_seed_length(args.seed_length, args.min_length),
         step=args.step,
         backend="simulated",
     )
@@ -706,8 +718,8 @@ def main(argv=None) -> int:
     p.add_argument("reads", help="reads FASTA file (streamed, any size)")
     p.add_argument("-l", "--min-seed", type=int, default=20,
                    help="minimum MEM seed length (default 20)")
-    p.add_argument("-s", "--seed-length", type=int, default=10,
-                   help="indexing seed length ℓs (default 10)")
+    p.add_argument("-s", "--seed-length", type=int, default=None,
+                   help=SEED_LENGTH_HELP)
     p.add_argument("--step", type=int, default=None,
                    help="indexing step Δs (default: the Eq. 1 maximum)")
     p.add_argument("--tolerance", type=int, default=200,
@@ -716,7 +728,7 @@ def main(argv=None) -> int:
     p.add_argument("--invalid", choices=("error", "skip", "random"),
                    default="random", help="non-ACGT letter policy")
     p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
-                   help="row executor inside each query (default serial)")
+                   help="executor inside each query (default serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="process count of --executor process, per query")
     p.add_argument("--batch-workers", type=int, default=None, metavar="N",
@@ -743,8 +755,8 @@ def main(argv=None) -> int:
                         "bare sequence string")
     p.add_argument("-l", "--min-length", type=int, default=20,
                    help="minimum MEM length L (default 20)")
-    p.add_argument("-s", "--seed-length", type=int, default=10,
-                   help="indexing seed length ℓs (default 10)")
+    p.add_argument("-s", "--seed-length", type=int, default=None,
+                   help=SEED_LENGTH_HELP)
     p.add_argument("--step", type=int, default=None,
                    help="indexing step Δs (default: the Eq. 1 maximum)")
     p.add_argument("--invalid", choices=("error", "skip", "random"),
@@ -795,11 +807,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("index", help="build (and time) the GPUMEM index only")
     _add_match_args(p)
     p.add_argument("--save", metavar="PATH", default=None,
-                   help="also save the full-reference locs/ptrs index (.npz)")
+                   help="also save the full-reference keys/locs index (.npz)")
     p.add_argument("--store", metavar="DIR", dest="index_store",
-                   help="alias for --index-store: persist the built row "
-                        "indexes under DIR so 'gpumem match --index-store "
-                        "DIR' warm-starts from them")
+                   help="alias for --index-store: persist the built "
+                        "index under DIR so 'gpumem match --index-store "
+                        "DIR' warm-starts from it")
     p.set_defaults(fn=cmd_index)
 
     p = sub.add_parser(

@@ -1,10 +1,11 @@
 """The GPUMEM driver: end-to-end MEM extraction.
 
 :class:`GpuMem` is the one-shot entry point over the staged pipeline of
-:mod:`repro.core.pipeline` (Figure 1 of the paper: per-row seed index →
-per-tile match; the simulated backend adds the host merge). Each call binds a transient
+:mod:`repro.core.pipeline` (seed index → sorted seed join → leftmost-hit
+extension; the simulated backend runs the paper's per-row index, per-tile
+kernels and host merge). Each call binds a transient
 :class:`repro.core.session.MemSession`; many-query workloads should hold a
-session directly so the per-row indexes are built once and reused.
+session directly so the index is built once and reused.
 
 Two backends:
 
@@ -33,7 +34,7 @@ class GpuMem:
     Parameters may be given as a ready :class:`GpuMemParams` or as keyword
     arguments forwarded to it::
 
-        GpuMem(min_length=50)                     # paper defaults
+        GpuMem(min_length=50)                     # default ℓs for L
         GpuMem(GpuMemParams(min_length=50, seed_length=10))
         GpuMem(min_length=50, backend="simulated", load_balancing=False)
         GpuMem(min_length=50, executor="process", workers=4)
@@ -72,7 +73,7 @@ class GpuMem:
 
     # -- convenience ------------------------------------------------------------
     def index_only(self, reference) -> float:
-        """Build all per-row indexes and return the build time in seconds.
+        """Build the seed index and return the build time in seconds.
 
         This is the quantity the paper's Table III reports for GPUMEM: index
         construction alone, without matching.

@@ -6,7 +6,8 @@
 field            paper   meaning
 ===============  ======  =====================================================
 min_length       L       minimum reported MEM length
-seed_length      ℓs      indexing seed length
+seed_length      ℓs      indexing seed length; default per backend, see
+                         :func:`default_seed_length`
 step             Δs      indexing step (sparsification); default is the
                          paper's choice, the Eq. (1) maximum ``L - ℓs + 1``
 threads_per_block τ      GPU threads per block (power of two — Algorithm 3's
@@ -27,13 +28,33 @@ import os
 from dataclasses import dataclass, replace
 
 from repro.errors import InvalidParameterError
-from repro.index.kmer_index import max_step, validate_sparsity
-
-#: Hard cap on ℓs: the ptrs table has 4^ℓs entries.
-MAX_SEED_LENGTH = 13
+from repro.index.kmer_index import MAX_KEY_SEED_LENGTH, max_step, validate_sparsity
 
 #: Supported backends of :class:`repro.core.matcher.GpuMem`.
 BACKENDS = ("vectorized", "simulated")
+
+#: Cap on ℓs per backend. The vectorized sorted-key index stores one
+#: ``int64`` code per seed (31 bases); the simulated GPU's dense ``ptrs``
+#: table has 4^ℓs entries per tile row, 8·4^13 = 537 MB at the cap.
+MAX_SEED_LENGTH = {"vectorized": MAX_KEY_SEED_LENGTH, "simulated": 13}
+
+#: The simulated backend's default ℓs (the paper's K20c setting, DESIGN.md
+#: §5 note 4), lowered to L when L is shorter.
+SIMULATED_SEED_LENGTH = 10
+
+
+def default_seed_length(min_length: int, backend: str = "vectorized") -> int:
+    """The default ℓs for ``min_length`` on ``backend``.
+
+    Vectorized: ``ℓs = min(31, L + 1 - ⌈L/3⌉)``, so the Eq. (1) step is
+    ``Δs = ⌈L/3⌉`` below the cap. The index then holds ~3|R|/L seeds while a
+    seed is long enough (ℓs = 14 at L = 20) that chance hits stay rare on
+    genomes of ~10^8 bases (docs/tuning.md has the measured table).
+    Simulated: ``min(10, L)``.
+    """
+    if backend == "simulated":
+        return min(SIMULATED_SEED_LENGTH, min_length)
+    return min(MAX_KEY_SEED_LENGTH, min_length + 1 - -(-min_length // 3))
 
 #: How the pipeline runs its tile rows: in-process, one after another, or
 #: as contiguous bands on the worker processes of :mod:`repro.core.procpool`.
@@ -45,7 +66,8 @@ class GpuMemParams:
     """Validated GPUMEM parameter set. Instances are immutable."""
 
     min_length: int
-    seed_length: int = 10
+    #: ``None`` resolves to :func:`default_seed_length` for the backend.
+    seed_length: int | None = None
     step: int | None = None
     threads_per_block: int = 128
     blocks_per_tile: int = 64
@@ -58,7 +80,8 @@ class GpuMemParams:
     #: whole core suite under ``executor=process``.
     executor: str | None = None
     #: Process count of the "process" executor; ``None`` resolves to
-    #: ``REPRO_WORKERS`` if set, else the CPU count capped at 8.
+    #: ``REPRO_WORKERS`` if set (process executor only), else the CPU count
+    #: capped at 8.
     workers: int | None = None
 
     def __post_init__(self):
@@ -66,9 +89,20 @@ class GpuMemParams:
             raise InvalidParameterError(
                 f"min_length must be >= 1, got {self.min_length}"
             )
-        if not 1 <= self.seed_length <= MAX_SEED_LENGTH:
+        if self.backend not in BACKENDS:
             raise InvalidParameterError(
-                f"seed_length must be in [1, {MAX_SEED_LENGTH}], got {self.seed_length}"
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+            )
+        if self.seed_length is None:
+            object.__setattr__(
+                self, "seed_length",
+                default_seed_length(self.min_length, self.backend),
+            )
+        cap = MAX_SEED_LENGTH[self.backend]
+        if not 1 <= self.seed_length <= cap:
+            raise InvalidParameterError(
+                f"seed_length must be in [1, {cap}] on the {self.backend} "
+                f"backend, got {self.seed_length}"
             )
         if self.seed_length > self.min_length:
             raise InvalidParameterError(
@@ -98,15 +132,14 @@ class GpuMemParams:
                 f"work_per_thread (w={self.work_per_thread}) must equal step "
                 f"(Δs={self.step}); any other value loses or duplicates MEMs"
             )
-        if self.backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
         if self.executor is None:
             object.__setattr__(
                 self, "executor", os.environ.get("REPRO_EXECUTOR", "serial")
             )
-        if self.workers is None and os.environ.get("REPRO_WORKERS"):
+        # Only the process executor has workers; resolving the variable for
+        # serial params would make them differ from a worker's own params.
+        if (self.workers is None and self.executor == "process"
+                and os.environ.get("REPRO_WORKERS")):
             object.__setattr__(
                 self, "workers", int(os.environ["REPRO_WORKERS"])
             )
@@ -132,11 +165,12 @@ class GpuMemParams:
 
     @property
     def n_seed_values(self) -> int:
-        """Entries of the ptrs array: ``4^ℓs``."""
+        """Distinct seed values, ``4^ℓs`` (the simulated ``ptrs`` length - 1)."""
         return 4**self.seed_length
 
     def locs_per_row(self) -> int:
-        """Paper §III-A: ``n_locs = ⌈ℓtile / Δs⌉`` locations per tile row."""
+        """Paper §III-A: ``n_locs = ⌈ℓtile / Δs⌉`` locations per tile row
+        (simulated backend and performance model)."""
         return -(-self.tile_size // self.step)
 
     def with_(self, **changes) -> "GpuMemParams":

@@ -1,32 +1,35 @@
 """The staged GPUMEM extraction pipeline (paper Figure 1, made explicit).
 
-The dataflow — per-row seed index → per-tile match — used to be
-re-implemented as near-identical inline loops in the matcher, the
-index-only timer, and the multi-device path. This module is the single
-implementation, decomposed into three stage objects composed by a
-:class:`Pipeline`:
+This module is the single implementation of the vectorized dataflow,
+decomposed into three stage objects composed by a :class:`Pipeline`:
 
 - :class:`PrepStage` — query-side preparation (k-mer codes; the run also
   packs the query once for every comparison of the run);
-- :class:`RowIndexStage` — the per-row partial seed index, optionally
-  served from a cache (see :class:`repro.core.session.MemSession`);
-- :class:`TileMatchStage` — candidate generation + extension of each
-  MEM's leftmost sampled seed hit for every tile of a row. Every MEM comes
-  out of exactly one tile, so there is no host merge (§III-C2 is
-  simulated-only, :mod:`repro.core.simulated`).
+- :class:`IndexStage` — the reference's sorted-key seed index, one per
+  ``(reference, params)``, optionally served from a cache (see
+  :class:`repro.core.session.MemSession`);
+- :class:`TileMatchStage` — the sorted seed join, candidate chunks and
+  the extension of each MEM's leftmost sampled seed hit for one band of
+  query seeds. Every MEM comes out of exactly one band and one chunk, so
+  there is no host merge (§III-C2 is simulated-only,
+  :mod:`repro.core.simulated`).
 
-Rows are independent work units. ``params.executor`` picks how they run:
-``"serial"`` loops over them in-process; ``"process"`` ships contiguous row
-bands to the worker pool of :mod:`repro.core.procpool`. All per-run
-bookkeeping lives in the typed
-:class:`PipelineStats`, which also behaves as a read/write mapping so the
-historical ``stats["key"]`` consumers keep working unchanged.
+``params.executor`` picks how the query runs: ``"serial"`` matches all of
+its seeds as one band in-process; ``"process"`` splits the query seed
+positions into at most ``workers`` contiguous bands and matches them on
+the worker pool of :mod:`repro.core.procpool`, each worker against its own
+session's index. Tile rows exist only where the GPU is modelled (the
+simulated backend, :mod:`repro.core.perf_model`, and :meth:`Pipeline.plan_for`,
+which reports the grid the GPU would use). All per-run bookkeeping lives in
+the typed :class:`PipelineStats`, which also behaves as a read/write
+mapping so the historical ``stats["key"]`` consumers keep working
+unchanged.
 
 Observability: pass ``tracer=`` (a :class:`repro.obs.Tracer`) to record
-``stage:prep`` / ``stage:row_index`` / ``stage:tile_match`` spans plus
-per-stage counters into
-``tracer.metrics`` (see ``docs/observability.md``). Without a tracer the
-instrumentation degrades to shared no-op objects.
+``stage:prep`` / ``stage:index`` / ``stage:tile_match`` spans plus
+per-stage counters into ``tracer.metrics`` (see
+``docs/observability.md``). Without a tracer the instrumentation degrades
+to shared no-op objects.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from repro.core.host_merge import host_merge  # noqa: F401
 from repro.core.params import GpuMemParams
 from repro.core.tiling import TilePlan
-from repro.core.vectorized import stage_tile
+from repro.core.vectorized import TileStageResult, stage_tile
 from repro.index.compare import PackedCodes, pack_codes
 from repro.index.kmer_index import KmerSeedIndex, build_kmer_index
 from repro.obs.tracer import Tracer, get_tracer
@@ -62,7 +65,7 @@ def _cache_token(index_cache) -> int | None:
     """A stable per-parent-session token for process-tier worker caches.
 
     Worker-side sessions are keyed by it (see
-    :class:`repro.core.procpool.RowTaskSpec`), so each parent session gets
+    :class:`repro.core.procpool.TaskSpec`), so each parent session gets
     its own worker caches and a fresh session's first query reports real
     misses rather than inheriting another session's warmth.
     """
@@ -96,6 +99,8 @@ class PipelineStats:
 
     backend: str = "vectorized"
     executor: str = "serial"
+    #: The tile grid the modelled GPU would use (:meth:`Pipeline.plan_for`);
+    #: the vectorized path itself does not tile.
     n_rows: int = 0
     n_cols: int = 0
     n_tiles: int = 0
@@ -108,9 +113,10 @@ class PipelineStats:
     total_time: float = 0.0
     max_index_bytes: int = 0
     max_index_locs: int = 0
+    #: Index-cache hits/misses of this run: one lookup per band.
     index_cache_hits: int = 0
     index_cache_misses: int = 0
-    #: Cumulative row-index cache effectiveness of the serving
+    #: Cumulative index-cache effectiveness of the serving
     #: :class:`~repro.core.session.MemSession` (across its whole lifetime,
     #: unlike the per-run ``index_cache_*`` pair above).
     session_cache_hits: int = 0
@@ -184,10 +190,10 @@ class PipelineStats:
 
 
 @dataclass
-class RowResult:
-    """Everything one tile row produced, plus its measured cost."""
+class BandResult:
+    """Everything one band of query seeds produced, plus its measured cost."""
 
-    row: int
+    q_lo: int
     mems: np.ndarray
     n_candidates: int = 0
     index_seconds: float = 0.0
@@ -209,64 +215,46 @@ class PrepStage:
         return kmer_codes(query, self.seed_length)
 
 
-class RowIndexStage:
-    """Build (or fetch from a cache) one tile row's partial seed index.
+class IndexStage:
+    """Build (or fetch through a cache) the reference's seed index.
 
-    The cache is any object with ``get(row) -> KmerSeedIndex | None`` and
-    ``put(row, index)`` — in practice a :class:`MemSession`. Row indexes
-    depend only on the reference and the params, never on the query, which
-    is exactly what makes them reusable across a many-query workload.
+    The cache is any object with ``get_or_build(build) -> (index, seconds,
+    cache_hit)`` — in practice a :class:`MemSession`. The index depends
+    only on the reference and the params, never on the query, which is
+    what makes it reusable across a many-query workload.
     """
 
     def __init__(self, params: GpuMemParams):
         self.params = params
 
     def run(
-        self,
-        reference: np.ndarray,
-        plan: TilePlan,
-        row: int,
-        cache=None,
+        self, reference: np.ndarray, cache=None
     ) -> tuple[KmerSeedIndex, float, bool]:
         def build() -> tuple[KmerSeedIndex, float]:
-            r0, r1 = plan.row_range(row)
             t0 = time.perf_counter()
             index = build_kmer_index(
                 reference,
                 seed_length=self.params.seed_length,
                 step=self.params.step,
-                region_start=r0,
-                region_end=r1,
             )
             return index, time.perf_counter() - t0
 
         if cache is None:
             index, seconds = build()
             return index, seconds, False
-        # Prefer the single-flight protocol (MemSession.get_or_build): under
-        # concurrent queries (BatchRunner, MemServer), misses on one row
-        # must produce exactly one build. Plain get/put caches remain
-        # supported for simple (serial) callers.
-        get_or_build = getattr(cache, "get_or_build", None)
-        if get_or_build is not None:
-            return get_or_build(row, build)
-        cached = cache.get(row)
-        if cached is not None:
-            return cached, 0.0, True
-        index, seconds = build()
-        cache.put(row, index)
-        return index, seconds, False
+        return cache.get_or_build(build)
 
 
 class TileMatchStage:
-    """Candidates → leftmost-hit extension for every tile of one row.
+    """Sorted seed join → candidate chunks → leftmost-hit extension for one
+    band of query seeds.
 
     With a real tracer attached, the stage also feeds the Algorithm-2
     load-balance counters: every query seed position is one thread slot,
     zero-hit slots are the idle threads ``T_idle``, and — when
-    ``params.load_balancing`` is on — idle slots of a tile that has at
+    ``params.load_balancing`` is on — idle slots of a band that has at
     least one active seed count as redistributed (the host-side view of
-    the paper's proactive balancing, aggregated per tile).
+    the paper's proactive balancing).
     """
 
     def __init__(self, params: GpuMemParams, *, tracer: Tracer | None = None):
@@ -277,42 +265,30 @@ class TileMatchStage:
         self,
         reference: np.ndarray,
         query: np.ndarray,
-        query_kmers: np.ndarray,
-        plan: TilePlan,
-        row: int,
+        band_kmers: np.ndarray,
         index: KmerSeedIndex,
-    ) -> tuple[np.ndarray, int]:
-        parts: list[np.ndarray] = []
-        n_candidates = 0
+        q_lo: int = 0,
+    ) -> TileStageResult:
+        result = stage_tile(
+            reference, query, band_kmers, index, self.params.min_length, q_lo
+        )
         metrics = self.tracer.metrics
-        slots = active = idle = redistributed = 0
-        for tile in plan.tiles_in_row(row):
-            result = stage_tile(
-                reference, query, query_kmers, tile, index, self.params.min_length
-            )
-            n_candidates += result.n_candidates
-            if result.mems.size:
-                parts.append(result.mems)
-            if metrics.enabled:
-                n_slots = result.n_query_seeds
-                n_active = result.n_query_seeds_with_hits
-                slots += n_slots
-                active += n_active
-                idle += n_slots - n_active
-                if self.params.load_balancing and n_active:
-                    redistributed += n_slots - n_active
         if metrics.enabled:
+            slots = result.n_query_seeds
+            active = result.n_query_seeds_with_hits
             metrics.counter("load_balance.seed_slots").inc(slots)
             metrics.counter("load_balance.active_seeds").inc(active)
-            metrics.counter("load_balance.idle_threads").inc(idle)
-            metrics.counter("load_balance.redistributed_threads").inc(redistributed)
-        return concat_triplets(parts), n_candidates
+            metrics.counter("load_balance.idle_threads").inc(slots - active)
+            metrics.counter("load_balance.redistributed_threads").inc(
+                slots - active if self.params.load_balancing and active else 0
+            )
+        return result
 
 
 class Pipeline:
     """Stage composition = one extraction engine.
 
-    ``run`` is the single implementation of the Figure-1 dataflow; the
+    ``run`` is the single implementation of the vectorized dataflow; the
     matcher, the session and the process workers all call into it with
     different caches rather than re-growing their own loops.
     """
@@ -322,15 +298,15 @@ class Pipeline:
         params: GpuMemParams,
         *,
         prep: PrepStage | None = None,
-        row_index: RowIndexStage | None = None,
+        index: IndexStage | None = None,
         tile_match: TileMatchStage | None = None,
         tracer: Tracer | None = None,
     ):
         self.params = params
         self.tracer = get_tracer(tracer)
         self.prep = prep or PrepStage(params.seed_length)
-        self.row_index = row_index or RowIndexStage(params)
-        # The tile stage carries the pipeline's tracer so its load-balance
+        self.index = index or IndexStage(params)
+        # The match stage carries the pipeline's tracer so its load-balance
         # counters land in the same run.
         self.tile_match = tile_match or TileMatchStage(params, tracer=self.tracer)
         self.tile_match.tracer = self.tracer
@@ -342,46 +318,52 @@ class Pipeline:
         return self.params.workers or min(8, os.cpu_count() or 1)
 
     def plan_for(self, n_reference: int, n_query: int) -> TilePlan:
-        """The tile grid for one problem at this pipeline's tile size."""
+        """The tile grid the modelled GPU would use for one problem
+        (reported in :class:`PipelineStats`; the vectorized path does not
+        tile)."""
         return TilePlan(
             n_reference=n_reference,
             n_query=n_query,
             tile_size=self.params.tile_size,
         )
 
-    def process_row(
+    def process_band(
         self,
         reference: np.ndarray,
         query: np.ndarray,
-        query_kmers: np.ndarray,
-        plan: TilePlan,
-        row: int,
+        band_kmers: np.ndarray,
+        q_lo: int = 0,
         cache=None,
         *,
         packed_reference: PackedCodes,
         packed_query: PackedCodes,
-    ) -> RowResult:
-        """One independent work unit: index + match all tiles of ``row``.
+    ) -> BandResult:
+        """One independent work unit: fetch the index, match one band.
 
-        The tile stage compares the packings (the caller packs each sequence
-        once for all its rows).
+        The match stage compares the packings (the caller packs each
+        sequence once per run).
         """
         tracer = self.tracer
-        with tracer.span("stage:row_index", cat="pipeline", row=row) as sp:
-            index, index_seconds, cache_hit = self.row_index.run(
-                reference, plan, row, cache=cache
+        with tracer.span("stage:index", cat="pipeline") as sp:
+            index, index_seconds, cache_hit = self.index.run(
+                reference, cache=cache
             )
             sp.set(cache_hit=cache_hit, index_locs=index.n_locs)
         t0 = time.perf_counter()
-        with tracer.span("stage:tile_match", cat="pipeline", row=row) as sp:
-            mems, n_candidates = self.tile_match.run(
-                packed_reference, packed_query, query_kmers, plan, row, index,
+        with tracer.span("stage:tile_match", cat="pipeline", q_lo=q_lo) as sp:
+            result = self.tile_match.run(
+                packed_reference, packed_query, band_kmers, index, q_lo
             )
-            sp.set(n_candidates=n_candidates, n_mems=int(mems.size))
-        return RowResult(
-            row=row,
-            mems=mems,
-            n_candidates=n_candidates,
+            sp.set(
+                n_candidates=result.n_candidates,
+                n_chunks=result.n_chunks,
+                max_chunk=result.max_chunk,
+                n_mems=int(result.mems.size),
+            )
+        return BandResult(
+            q_lo=q_lo,
+            mems=result.mems,
+            n_candidates=result.n_candidates,
             index_seconds=index_seconds,
             match_seconds=time.perf_counter() - t0,
             index_bytes=index.nbytes_packed,
@@ -400,10 +382,9 @@ class Pipeline:
         """Extract all MEMs; returns ``(triplets, stats)``.
 
         ``index_cache`` (a :class:`MemSession`-like object) short-circuits
-        the row-index stage and, through its ``packed_reference``
-        attribute, the reference packing; ``query_kmers`` short-circuits
-        the k-mer step of prep when the caller already holds the rolling
-        codes. The query is packed once here for every tile.
+        the index stage and, through its ``packed_reference`` attribute,
+        the reference packing; ``query_kmers`` short-circuits the k-mer
+        step of prep when the caller already holds the rolling codes.
         """
         run_t0 = time.perf_counter()
         tracer = self.tracer
@@ -411,35 +392,28 @@ class Pipeline:
         with tracer.span(
             "pipeline.run", cat="pipeline",
             backend=self.params.backend, executor=self.params.executor,
-            n_rows=plan.n_rows, n_reference=int(reference.size),
-            n_query=int(query.size),
+            n_reference=int(reference.size), n_query=int(query.size),
         ) as run_span:
-            t0 = time.perf_counter()
-            with tracer.span("stage:prep", cat="pipeline") as sp:
-                if query_kmers is None:
-                    query_kmers = self.prep.run(query)
-                packed_query = pack_codes(query)
-                packed_reference = getattr(index_cache, "packed_reference", None)
-                if packed_reference is None:
-                    packed_reference = pack_codes(reference)
-                sp.set(n_kmers=int(query_kmers.size))
-            prep_time = time.perf_counter() - t0
-
             if self.params.executor == "process":
-                row_results = self._run_specs(
-                    reference, query, plan, index_cache
-                )
+                prep_time = 0.0
+                results = self._run_specs(reference, query, index_cache)
             else:
-                row_results = [
-                    self.process_row(
-                        reference, query, query_kmers, plan, row,
-                        cache=index_cache,
-                        packed_reference=packed_reference,
-                        packed_query=packed_query,
-                    )
-                    for row in range(plan.n_rows)
-                ]
-            mems = concat_triplets([r.mems for r in row_results])
+                t0 = time.perf_counter()
+                with tracer.span("stage:prep", cat="pipeline") as sp:
+                    if query_kmers is None:
+                        query_kmers = self.prep.run(query)
+                    packed_query = pack_codes(query)
+                    packed_reference = getattr(index_cache, "packed_reference", None)
+                    if packed_reference is None:
+                        packed_reference = pack_codes(reference)
+                    sp.set(n_kmers=int(query_kmers.size))
+                prep_time = time.perf_counter() - t0
+                results = [self.process_band(
+                    reference, query, query_kmers, 0, cache=index_cache,
+                    packed_reference=packed_reference,
+                    packed_query=packed_query,
+                )]
+            mems = concat_triplets([r.mems for r in results])
             run_span.set(n_mems=int(mems.size))
 
         stats = PipelineStats(
@@ -448,15 +422,15 @@ class Pipeline:
             n_rows=plan.n_rows,
             n_cols=plan.n_cols,
             n_tiles=plan.n_tiles,
-            n_candidates=sum(r.n_candidates for r in row_results),
+            n_candidates=sum(r.n_candidates for r in results),
             prep_time=prep_time,
-            index_time=sum(r.index_seconds for r in row_results),
-            match_time=sum(r.match_seconds for r in row_results),
+            index_time=sum(r.index_seconds for r in results),
+            match_time=sum(r.match_seconds for r in results),
             total_time=time.perf_counter() - run_t0,
-            max_index_bytes=max((r.index_bytes for r in row_results), default=0),
-            max_index_locs=max((r.index_locs for r in row_results), default=0),
-            index_cache_hits=sum(1 for r in row_results if r.cache_hit),
-            index_cache_misses=sum(1 for r in row_results if not r.cache_hit),
+            max_index_bytes=max((r.index_bytes for r in results), default=0),
+            max_index_locs=max((r.index_locs for r in results), default=0),
+            index_cache_hits=sum(1 for r in results if r.cache_hit),
+            index_cache_misses=sum(1 for r in results if not r.cache_hit),
             params=self.params.describe(),
         )
         if self.params.executor == "process":
@@ -465,14 +439,15 @@ class Pipeline:
         return mems, stats
 
     def _run_specs(
-        self, reference: np.ndarray, query: np.ndarray, plan, index_cache
-    ) -> list[RowResult]:
-        """Run every row on the worker processes.
+        self, reference: np.ndarray, query: np.ndarray, index_cache
+    ) -> list[BandResult]:
+        """Match the query's seed bands on the worker processes.
 
+        The seed positions split into at most ``workers`` contiguous bands.
         A closure cannot cross a process boundary, so the work travels as a
-        picklable :class:`repro.core.procpool.RowTaskSpec`.
-        When the caller's cache is already fully warm, the spec says so:
-        workers then warm their own sessions up front and report the same
+        picklable :class:`repro.core.procpool.TaskSpec`. When the
+        caller's cache already holds the index, the spec says so: workers
+        then warm their own sessions up front and report the same
         all-hit / zero-index-time stats a warm serial session does.
         """
         from repro.core import procpool
@@ -481,8 +456,7 @@ class Pipeline:
         if index_cache is not None:
             cache_info = getattr(index_cache, "cache_info", None)
             if cache_info is not None:
-                info = cache_info()
-                assume_warm = 0 < info["n_rows"] <= info["n_cached"]
+                assume_warm = cache_info()["n_cached"] > 0
         spec = procpool.make_spec(
             reference,
             self.params,
@@ -493,8 +467,11 @@ class Pipeline:
             tracer=self.tracer,
             store=getattr(index_cache, "store", None),
         )
-        return procpool.map_row_specs(
-            spec, range(plan.n_rows), self.workers, tracer=self.tracer
+        n_seeds = max(0, int(query.size) - self.params.seed_length + 1)
+        bands = procpool._bands(range(n_seeds), self.workers) or [range(0)]
+        return procpool.map_bands(
+            spec, [(b.start, b.stop) for b in bands], self.workers,
+            tracer=self.tracer,
         )
 
     def _record_metrics(self, stats: PipelineStats, *, n_mems: int) -> None:
@@ -513,64 +490,19 @@ class Pipeline:
         metrics.counter("index.cache.misses").inc(stats.index_cache_misses)
         for stage, seconds in (
             ("prep", stats.prep_time),
-            ("row_index", stats.index_time),
+            ("index", stats.index_time),
             ("tile_match", stats.match_time),
         ):
             metrics.histogram("stage.seconds", stage=stage).observe(seconds)
         metrics.histogram("pipeline.total_seconds").observe(stats.total_time)
 
-    def build_row_indexes(self, reference: np.ndarray, cache=None) -> float:
-        """Run only the row-index stage for every row; returns build seconds.
+    def build_index(self, reference: np.ndarray, cache=None) -> float:
+        """Run only the index stage; returns build seconds (0 on a hit).
 
-        This is the paper's Table III quantity (index construction without
-        matching) and the session's warm-up path.
+        This is the index-construction time without matching and the
+        session's warm-up path.
         """
-        plan = self.plan_for(reference.size, self.params.tile_size)
-        tracer = self.tracer
-        with tracer.span(
-            "pipeline.build_row_indexes", cat="pipeline", n_rows=plan.n_rows
-        ):
-            if self.params.executor == "process":
-                return self._build_specs(reference, plan, cache)
-            total = 0.0
-            for row in range(plan.n_rows):
-                with tracer.span(
-                    "stage:row_index", cat="pipeline", row=row
-                ) as sp:
-                    _, seconds, cache_hit = self.row_index.run(
-                        reference, plan, row, cache=cache
-                    )
-                    sp.set(cache_hit=cache_hit)
-                total += seconds
-            return float(total)
-
-    def _build_specs(self, reference: np.ndarray, plan, cache) -> float:
-        """Process warm path: build in workers, fill ``cache``.
-
-        Rows the caller's cache already holds are skipped (counted as hits
-        by the cache itself, matching the serial ``get_or_build`` path);
-        freshly built indexes are written back so the *caller's* cache ends
-        fully warm, not just the workers' — ``MemSession.warm()`` promises
-        ``cache_info()["n_cached"] == n_rows`` afterwards.
-        """
-        from repro.core import procpool
-
-        if cache is None:
-            missing = list(range(plan.n_rows))
-        else:
-            missing = [
-                row for row in range(plan.n_rows) if cache.get(row) is None
-            ]
-        spec = procpool.make_spec(
-            reference, self.params, use_cache=True,
-            token=_cache_token(cache), tracer=self.tracer,
-            store=getattr(cache, "store", None),
-        )
-        total = 0.0
-        for row, index, seconds in procpool.build_row_specs(
-            spec, missing, self.workers, tracer=self.tracer
-        ):
-            if cache is not None:
-                cache.put(row, index)
-            total += seconds
-        return float(total)
+        with self.tracer.span("pipeline.build_index", cat="pipeline") as sp:
+            index, seconds, cache_hit = self.index.run(reference, cache=cache)
+            sp.set(cache_hit=cache_hit, index_locs=index.n_locs)
+        return float(seconds)

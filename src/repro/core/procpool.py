@@ -1,7 +1,8 @@
 """Process-sharded execution: spawn-safe workers over a shared reference.
 
-``executor="process"`` ships tile-row bands, and the batch/serve
-``tier="process"`` ships whole queries, to a pool of worker *processes*.
+``executor="process"`` ships bands of query seed positions, and the
+batch/serve ``tier="process"`` ships whole queries, to a pool of worker
+*processes*.
 The pieces that make that cheap and correct live here:
 
 - **Reference transport.** :func:`publish_reference` turns a code array
@@ -10,23 +11,22 @@ The pieces that make that cheap and correct live here:
   ``multiprocessing.shared_memory`` segment (via
   :meth:`~repro.sequence.packed.PackedSequence.to_shared`) that every
   worker attaches to zero-copy by name.
-- **Task protocol.** A :class:`RowTaskSpec` is the complete, picklable
+- **Task protocol.** A :class:`TaskSpec` is the complete, picklable
   description of worker-side work: the reference locator, spawn-safe
-  params (row executor forced back to ``"serial"`` so workers never nest
+  params (executor forced back to ``"serial"`` so workers never nest
   pools), the query codes, and cache semantics.
 - **Worker-side state.** Each worker process keeps attached references and
   warm :class:`~repro.core.session.MemSession` objects in small
-  module-level caches, so the per-reference index builds happen once per
-  worker, not once per task (the ISSUE's "per-process session warmup").
+  module-level caches, so each worker builds (or loads) a reference's
+  index once, not once per task.
 - **Registries.** Pools and published segments are process-wide and
   reused across pipelines/runners; ``atexit`` tears both down so no
   segment outlives the owner.
-- **Row dispatch.** :func:`map_row_specs` / :func:`build_row_specs` split
-  a pipeline's rows into one contiguous band per worker and gather the
-  results in row order.
+- **Band dispatch.** :func:`map_bands` runs one task per band of query
+  seed positions and gathers the results in band order.
 
-Worker entry points (:func:`run_row_band`, :func:`build_rows`,
-:func:`run_query_task`) are module-level functions so they import cleanly
+Worker entry points (:func:`run_band`, :func:`run_query_task`) are
+module-level functions so they import cleanly
 under the ``spawn`` start method (the default; override with
 ``REPRO_MP_START=fork`` where fork semantics are acceptable).
 """
@@ -85,7 +85,7 @@ class ReferenceLocator:
 
 
 @dataclass(frozen=True)
-class RowTaskSpec:
+class TaskSpec:
     """Everything a worker needs to run pipeline work for one query.
 
     Fully picklable and self-contained: workers rebuild their pipeline from
@@ -93,16 +93,16 @@ class RowTaskSpec:
     """
 
     ref: ReferenceLocator
-    #: Spawn-safe params: row executor forced to ``"serial"`` so a worker
+    #: Spawn-safe params: executor forced to ``"serial"`` so a worker
     #: never opens its own pool under the parent's pool.
     params: GpuMemParams
     #: Query codes as raw bytes (uint8), empty for index-only work.
     query: bytes = b""
-    #: Route worker rows through a per-process session cache.
+    #: Route worker bands through a per-process session cache.
     use_cache: bool = True
-    #: The parent's cache is fully warm — warm the worker session up front
-    #: so every row reports a cache hit with zero index seconds, matching
-    #: the serial warm-session contract.
+    #: The parent's cache is warm — warm the worker session up front so
+    #: every band reports a cache hit with zero index seconds, matching the
+    #: serial warm-session contract.
     assume_warm: bool = False
     #: Parent-session identity: worker sessions are keyed by it, so a fresh
     #: parent session starts from fresh worker caches (its first query
@@ -133,7 +133,7 @@ def next_session_token() -> int:
 
 
 def worker_params(params: GpuMemParams) -> GpuMemParams:
-    """The params a worker runs under: same geometry, serial rows."""
+    """The params a worker runs under: same params, serial executor."""
     if params.executor == "serial" and params.workers is None:
         return params
     return params.with_(executor="serial", workers=None)
@@ -149,7 +149,7 @@ def make_spec(
     token: int | None = None,
     tracer=None,
     store=None,
-) -> RowTaskSpec:
+) -> TaskSpec:
     """Build the picklable task spec for ``reference``/``params``/``query``.
 
     When the caller's tracer is enabled the spec asks workers to ship
@@ -161,7 +161,7 @@ def make_spec(
     or ``None``) travels as its cache-dir path so workers attach their own
     handle to the same on-disk store.
     """
-    return RowTaskSpec(
+    return TaskSpec(
         ref=publish_reference(reference, tracer=tracer),
         params=worker_params(params),
         query=b"" if query is None else np.ascontiguousarray(
@@ -287,63 +287,39 @@ def registry_info() -> dict:
         }
 
 
-# -- parent-side row dispatch --------------------------------------------------
+# -- parent-side band dispatch -------------------------------------------------
 
-def _bands(rows: list[int], workers: int) -> list[list[int]]:
-    """``rows`` in at most ``workers`` contiguous near-equal bands, none empty."""
-    bounds = np.linspace(0, len(rows), min(workers, len(rows)) + 1).astype(int)
-    return [rows[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])]
-
-
-def _run_bands(entry, span_name: str, spec: RowTaskSpec, rows, workers: int,
-               tracer) -> list:
-    """``entry(spec, band)`` for each band of ``rows`` on the worker pool.
-
-    One band per worker amortizes the per-task IPC round trip. Results come
-    back in row order; each band's shipped observability is merged into
-    ``tracer``.
-    """
-    rows = list(rows)
-    with tracer.span(
-        span_name, cat="executor", n_rows=len(rows), workers=workers
-    ) as sp:
-        if not rows:
-            return []
-        pool = get_pool(workers)
-        bands = _bands(rows, workers)
-        futures = [pool.submit(entry, spec, band) for band in bands]
-        out: list = []
-        for future in futures:
-            results, obs = future.result()
-            out.extend(results)
-            merge_payload(tracer, obs)
-        sp.set(n_bands=len(bands))
-    return out
+def _bands(items, workers: int) -> list:
+    """``items`` in at most ``workers`` contiguous near-equal slices, none
+    empty (a ``range`` slices into ranges, without materializing)."""
+    bounds = np.linspace(0, len(items), min(workers, len(items)) + 1).astype(int)
+    return [items[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])]
 
 
-def map_row_specs(spec: RowTaskSpec, rows, workers: int, *, tracer=None) -> list:
-    """Index + match ``rows`` of ``spec`` on ``workers`` processes.
+def map_bands(spec: TaskSpec, bands, workers: int, *, tracer=None) -> list:
+    """Match each ``(q_lo, q_hi)`` band of ``spec``'s query on ``workers``
+    processes.
 
-    Returns the :class:`~repro.core.pipeline.RowResult` list in row order.
+    One task per band (the caller makes at most one band per worker).
+    Returns the :class:`~repro.core.pipeline.BandResult` list in band
+    order; each band's shipped observability is merged into ``tracer``.
     """
     tracer = get_tracer(tracer)
-    out = _run_bands(run_row_band, "executor:process", spec, rows, workers, tracer)
+    bands = list(bands)
+    with tracer.span(
+        "executor:process", cat="executor", n_bands=len(bands), workers=workers
+    ):
+        pool = get_pool(workers)
+        futures = [pool.submit(run_band, spec, lo, hi) for lo, hi in bands]
+        out = []
+        for future in futures:
+            result, obs = future.result()
+            out.append(result)
+            merge_payload(tracer, obs)
     metrics = tracer.metrics
     if metrics.enabled:
-        metrics.counter("proc.rows").inc(len(out))
-        metrics.counter("proc.bands").inc(min(workers, len(out)))
+        metrics.counter("proc.bands").inc(len(out))
     return out
-
-
-def build_row_specs(spec: RowTaskSpec, rows, workers: int, *, tracer=None) -> list:
-    """Index-only builds of ``rows`` on ``workers`` processes.
-
-    Returns ``(row, index, seconds)`` triples in row order.
-    """
-    return _run_bands(
-        build_rows, "executor:process-build", spec, rows, workers,
-        get_tracer(tracer),
-    )
 
 
 # -- worker-side state ---------------------------------------------------------
@@ -421,7 +397,7 @@ def _attach_codes(ref: ReferenceLocator) -> np.ndarray:
     return seq.codes()
 
 
-def _session_for(spec: RowTaskSpec):
+def _session_for(spec: TaskSpec):
     """The per-process session for ``(reference, params)``, LRU-cached.
 
     ``ship_obs`` joins the key: an instrumented session records through
@@ -453,32 +429,30 @@ def _session_for(spec: RowTaskSpec):
     return session
 
 
-def _ensure_warm(session) -> float:
-    """Build any missing row indexes of a worker session; returns seconds."""
-    if session.cache_info()["n_cached"] >= session.n_rows:
-        return 0.0
-    return float(session.warm())
+def _ensure_warm(session) -> None:
+    """Build (or load) a worker session's index if it is missing."""
+    if not session.cache_info()["n_cached"]:
+        session.warm()
 
 
 # -- worker entry points -------------------------------------------------------
 
-def _collect_obs(spec: RowTaskSpec):
+def _collect_obs(spec: TaskSpec):
     """This task's :class:`~repro.obs.shipping.ObsPayload` (or ``None``)."""
     if not spec.ship_obs:
         return None
     return worker_obs().collect()
 
 
-def run_row_band(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
-    """Run the index+match stages for a band of tile rows (worker side).
+def run_band(spec: TaskSpec, q_lo: int, q_hi: int) -> tuple[object, object]:
+    """Match query seed positions ``[q_lo, q_hi)`` (worker side).
 
-    Returns ``(results, obs)``: the picklable
-    :class:`~repro.core.pipeline.RowResult` list in band order, plus the
-    task's :class:`~repro.obs.shipping.ObsPayload` when the spec ships
+    Returns ``(result, obs)``: the picklable
+    :class:`~repro.core.pipeline.BandResult`, plus the task's
+    :class:`~repro.obs.shipping.ObsPayload` when the spec ships
     observability (``None`` otherwise). With ``assume_warm`` the worker
-    session is fully warmed first, so every row reports
-    ``cache_hit=True`` / zero index seconds — the same stats a warm serial
-    session produces.
+    session's index is built first, so the band reports ``cache_hit=True``
+    / zero index seconds — the same stats a warm serial session produces.
     """
     from repro.core.pipeline import Pipeline
 
@@ -488,51 +462,23 @@ def run_row_band(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
         if spec.assume_warm:
             _ensure_warm(session)
         pipeline, cache = session.pipeline, session
+        packed_reference = session.packed_reference
     else:
         tracer = worker_obs().tracer if spec.ship_obs else None
         pipeline, cache = Pipeline(spec.params, tracer=tracer), None
+        packed_reference = pack_codes(codes)
     query = np.frombuffer(spec.query, dtype=np.uint8)
-    plan = pipeline.plan_for(codes.size, query.size)
-    query_kmers = pipeline.prep.run(query)
-    packed_reference = (
-        pack_codes(codes) if cache is None else cache.packed_reference
+    band_kmers = pipeline.prep.run(
+        query[q_lo : q_hi + spec.params.seed_length - 1]
     )
-    packed_query = pack_codes(query)
-    results = [
-        pipeline.process_row(
-            codes, query, query_kmers, plan, row, cache=cache,
-            packed_reference=packed_reference, packed_query=packed_query,
-        )
-        for row in rows
-    ]
-    return results, _collect_obs(spec)
+    result = pipeline.process_band(
+        codes, query, band_kmers, q_lo, cache=cache,
+        packed_reference=packed_reference, packed_query=pack_codes(query),
+    )
+    return result, _collect_obs(spec)
 
 
-def build_rows(spec: RowTaskSpec, rows: list[int]) -> tuple[list, object]:
-    """Build row indexes fresh (worker side): ``(row, index, seconds)``.
-
-    Always measures a real build — the warm path's Table-III semantics —
-    and feeds the result into this worker's session cache so subsequent
-    queries here start warm. Returns ``(triples, obs)`` like
-    :func:`run_row_band`.
-    """
-    from repro.core.pipeline import Pipeline
-
-    codes = _attach_codes(spec.ref)
-    tracer = worker_obs().tracer if spec.ship_obs else None
-    pipeline = Pipeline(spec.params, tracer=tracer)
-    plan = pipeline.plan_for(codes.size, spec.params.tile_size)
-    session = _session_for(spec) if spec.use_cache else None
-    out = []
-    for row in rows:
-        index, seconds, _ = pipeline.row_index.run(codes, plan, row, cache=None)
-        if session is not None:
-            session.put(row, index)
-        out.append((row, index, seconds))
-    return out, _collect_obs(spec)
-
-
-def run_query_task(spec: RowTaskSpec, index: int, label: str | None) -> dict:
+def run_query_task(spec: TaskSpec, index: int, label: str | None) -> dict:
     """Extract all MEMs of one query (worker side of the batch/serve tiers).
 
     Never raises: failures come back as a structured ``ok=False`` payload

@@ -14,18 +14,77 @@ Four steps, exactly as published:
 4. **Sort** — per-seed segment sort (device primitive, one thread per seed,
    so the cost model sees the seed-skew imbalance).
 
-The result is bit-identical to the sequential reference
+The result is the dense layout of the paper's K20c: ``ptrs`` has one entry
+per seed value, so ℓs is capped at 13 here (8·4^ℓs bytes per row). Its
+``(keys, locs)`` view is identical to the sorted-key index of
 :func:`repro.index.kmer_index.build_kmer_index` (tested), while the device
 accumulates realistic cost/imbalance accounting.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.errors import IndexIntegrityError
 from repro.gpu.kernel import Device
 from repro.gpu.primitives import gpu_prefix_sum, gpu_segment_sort
-from repro.index.kmer_index import KmerSeedIndex
+from repro.index.kmer_index import grid_positions
+
+
+@dataclass(frozen=True)
+class DenseSeedIndex:
+    """Algorithm 1's ``locs``/``ptrs`` pair for one tile row.
+
+    ``locs`` is grouped by seed value; the locations of seed ``s`` are
+    ``locs[ptrs[s] : ptrs[s + 1]]``.
+    """
+
+    seed_length: int
+    step: int
+    region_start: int
+    region_end: int
+    ptrs: np.ndarray  # int64[4**seed_length + 1]
+    locs: np.ndarray  # int64[n_locs]
+
+    @property
+    def n_locs(self) -> int:
+        return int(self.locs.size)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The seed value of each ``locs`` slot (the sorted-key view)."""
+        counts = np.diff(self.ptrs)
+        return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+
+    def check(self) -> None:
+        """``ptrs`` spans ``locs`` monotonically and every group is sorted.
+
+        Raises :class:`repro.errors.IndexIntegrityError`.
+        """
+        n_seeds = 4**self.seed_length
+        if self.ptrs.size != n_seeds + 1:
+            raise IndexIntegrityError(
+                f"ptrs has {self.ptrs.size} entries, expected {n_seeds + 1} "
+                f"(4^{self.seed_length} + 1)",
+                field="ptrs",
+            )
+        if self.ptrs[0] != 0 or self.ptrs[-1] != self.n_locs:
+            raise IndexIntegrityError(
+                f"ptrs endpoints ({int(self.ptrs[0])}, {int(self.ptrs[-1])}) "
+                f"do not span [0, n_locs={self.n_locs}]",
+                field="ptrs",
+            )
+        if not np.all(np.diff(self.ptrs) >= 0):
+            raise IndexIntegrityError("ptrs must be non-decreasing", field="ptrs")
+        keys = self.keys
+        unsorted = (np.diff(keys) == 0) & (np.diff(self.locs) <= 0)
+        if np.any(unsorted):
+            seed = int(keys[np.argmax(unsorted)])
+            raise IndexIntegrityError(
+                f"seed {seed} locations not sorted", field="locs"
+            )
 
 
 def _seed_value(codes: np.ndarray, pos: int, seed_length: int) -> int:
@@ -68,23 +127,20 @@ def build_kmer_index_gpu(
     region_start: int = 0,
     region_end: int | None = None,
     block: int = 128,
-) -> KmerSeedIndex:
+) -> DenseSeedIndex:
     """Run Algorithm 1 on the simulated device.
 
-    Same contract as :func:`repro.index.kmer_index.build_kmer_index`; the
-    device's report list gains the four steps' kernels/primitives.
+    Same region and grid contract as
+    :func:`repro.index.kmer_index.build_kmer_index`; the device's report
+    list gains the four steps' kernels/primitives. The result is checked
+    (:meth:`DenseSeedIndex.check`) before the tile stage reads it: the
+    shuffled atomic fill must come out grouped and sorted after step 4.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     n = codes.size
     region_end = n if region_end is None else min(int(region_end), n)
     region_start = max(0, int(region_start))
-
-    first = ((region_start + step - 1) // step) * step
-    last = min(region_end, n - seed_length + 1)
-    if first >= last:
-        positions = np.empty(0, dtype=np.int64)
-    else:
-        positions = np.arange(first, last, step, dtype=np.int64)
+    positions = grid_positions(n, seed_length, step, region_start, region_end)
 
     n_seeds = 4**seed_length
     tag = f"row{region_start}"
@@ -105,7 +161,7 @@ def build_kmer_index_gpu(
         )
         gpu_segment_sort(device, locs[: positions.size], ptrs)
 
-    index = KmerSeedIndex(
+    index = DenseSeedIndex(
         seed_length=seed_length,
         step=step,
         region_start=region_start,
@@ -115,4 +171,5 @@ def build_kmer_index_gpu(
     )
     device.memory.free(f"ptrs/{tag}")
     device.memory.free(f"locs/{tag}")
+    index.check()
     return index

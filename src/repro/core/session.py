@@ -1,12 +1,11 @@
-"""Reusable index sessions: build a reference's row indexes once, query forever.
+"""Reusable index sessions: build a reference's seed index once, query forever.
 
 copMEM's lesson (Grabowski & Bieniecki 2018) is that a lightweight sampled
 k-mer index *amortized across queries* is the dominant cost lever for MEM
-extraction — yet the seed code rebuilt every per-row index on every
-``find_mems`` call. A :class:`MemSession` binds ``(reference, params)``
-once, lazily caches the per-row seed indexes as the pipeline first touches
-them, and then serves unlimited ``find_mems(query)`` calls at match-only
-cost. Every many-query consumer — :class:`repro.core.mapping.ReadMapper`,
+extraction. A :class:`MemSession` binds ``(reference, params)`` once,
+lazily builds the reference's sorted-key seed index when the pipeline first
+touches it, and then serves unlimited ``find_mems(query)`` calls at
+match-only cost. Every many-query consumer — :class:`repro.core.mapping.ReadMapper`,
 :func:`repro.core.distance.distance_matrix`, both-strand extraction, the
 CLI's per-record mode — is built on top of it.
 
@@ -36,14 +35,14 @@ from repro.types import MatchSet
 class MemSession:
     """MEM extraction bound to one ``(reference, params)`` pair.
 
-    The session is the pipeline's index cache: rows are built on first
-    touch (or all at once via :meth:`warm`) and reused by every subsequent
+    The session owns the reference's sorted-key seed index: built on first
+    touch (or up front via :meth:`warm`) and reused by every subsequent
     query, including reverse-complement strands and batch workloads.
 
     Example::
 
         session = MemSession(reference, min_length=20)
-        session.warm()                      # optional: prebuild all rows
+        session.warm()                      # optional: build the index now
         for read in reads:
             mems = session.find_mems(read)  # match-only cost per read
     """
@@ -89,87 +88,64 @@ class MemSession:
 
         self.store = resolve_store(store)
         self._fingerprint: str | None = None
-        self._row_indexes: dict[int, KmerSeedIndex] = {}
-        self._lock = self._lock_factory("session.cache")  # guards: _row_indexes, _build_locks, _hits, _misses, _n_queries
-        #: Per-row single-flight build locks, created lazily under _lock
-        #: and pruned by :meth:`drop_indexes` (one lock class: "session.build").
-        self._build_locks: dict[int, threading.Lock] = {}
+        self._index: KmerSeedIndex | None = None
+        self._lock = self._lock_factory("session.cache")  # guards: _index, _hits, _misses, _n_queries
+        #: Single-flight build lock: concurrent first touches build once.
+        self._build_lock = self._lock_factory("session.build")
         self._hits = 0
         self._misses = 0
         self._n_queries = 0
 
-    # -- index cache protocol (consumed by RowIndexStage) ----------------------
-    def get(self, row: int) -> KmerSeedIndex | None:
-        """Cache-protocol read: the row's index, or None if not yet built."""
-        with self._lock:
-            index = self._row_indexes.get(row)
-            if index is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return index
-
-    def put(self, row: int, index: KmerSeedIndex) -> None:
-        """Cache-protocol write: remember a freshly built row index."""
-        with self._lock:
-            self._row_indexes[row] = index
-
-    def get_or_build(self, row: int, build) -> tuple[KmerSeedIndex, float, bool]:
+    # -- index cache protocol (consumed by IndexStage) -------------------------
+    def get_or_build(self, build) -> tuple[KmerSeedIndex, float, bool]:
         """Single-flight cache fill: ``(index, build_seconds, cache_hit)``.
 
         ``build`` is a zero-argument callable returning
-        ``(KmerSeedIndex, seconds)``. Concurrent callers that miss the same
-        row serialize on a per-row lock so exactly one of them builds; the
-        others block briefly and are then served the cached index (counted
-        as hits — only the one real build is a miss). This is what makes
-        the session safe under query-level concurrency
+        ``(KmerSeedIndex, seconds)``. Concurrent callers that miss serialize
+        on the build lock so exactly one of them builds; the others block
+        briefly and are then served the cached index (counted as hits —
+        only the one real build is a miss). This is what makes the session
+        safe under query-level concurrency
         (:class:`repro.core.batch.BatchRunner`,
         :class:`repro.core.serve.MemServer`).
         """
         with self._lock:
-            index = self._row_indexes.get(row)
+            index = self._index
             if index is not None:
                 self._hits += 1
                 return index, 0.0, True
-            row_lock = self._build_locks.setdefault(
-                row, self._lock_factory("session.build")
-            )
-        with row_lock:
-            # Re-check: a concurrent builder may have filled the row while
+        with self._build_lock:
+            # Re-check: a concurrent builder may have filled the cache while
             # we waited on its lock.
             with self._lock:
-                index = self._row_indexes.get(row)
+                index = self._index
                 if index is not None:
                     self._hits += 1
                     return index, 0.0, True
-            index, seconds = self._build_row(row, build)
+            index, seconds = self._build_index(build)
             with self._lock:
                 self._misses += 1
-                self._row_indexes[row] = index
+                self._index = index
             return index, seconds, False
 
-    def _build_row(self, row: int, build) -> tuple[KmerSeedIndex, float]:
+    def _build_index(self, build) -> tuple[KmerSeedIndex, float]:
         """The cold path of :meth:`get_or_build`: direct build, or the
         persistent store's tier walk when one is attached.
 
         With a store, a restarted process (or a sibling worker) that
-        already persisted this row serves it as an mmap-backed warm load —
-        near-zero seconds instead of a rebuild — and concurrent cold
-        builders across processes single-flight on the store's file lock.
-        Store loads keep the session-counter semantics of a build (the row
-        was not in *this* session's memory); the ``index.store.*`` metrics
-        carry the tier split.
+        already persisted this index serves it as an mmap-backed warm load,
+        and concurrent cold builders across processes single-flight on the
+        store's file lock. Store loads keep the session-counter semantics
+        of a build (the index was not in *this* session's memory); the
+        ``index.store.*`` metrics carry the tier split.
         """
         if self.store is None:
             return build()
-        ts = self.params.tile_size
-        r0 = row * ts
-        index, seconds, _source = self.store.get_or_build_row(
-            self.fingerprint(),
+        index, seconds, _source = self.store.get_or_build_reference_index(
+            self.reference,
             seed_length=self.params.seed_length,
             step=self.params.step,
-            region_start=r0,
-            region_end=min(r0 + ts, int(self.reference.size)),
+            fingerprint=self.fingerprint(),
             build=build,
             tracer=self.tracer,
         )
@@ -182,73 +158,48 @@ class MemSession:
             self._fingerprint = reference_fingerprint(self.reference)
         return self._fingerprint
 
-    # -- geometry --------------------------------------------------------------
-    @property
-    def n_rows(self) -> int:
-        """Tile rows of the reference (query-independent)."""
-        ts = self.params.tile_size
-        return -(-self.reference.size // ts) if self.reference.size else 0
-
-    def row_index(self, row: int) -> KmerSeedIndex:
-        """The (cached) partial seed index of one tile row."""
-        plan = self.pipeline.plan_for(self.reference.size, self.params.tile_size)
-        index, _, _ = self.pipeline.row_index.run(
-            self.reference, plan, row, cache=self
-        )
+    def seed_index(self) -> KmerSeedIndex:
+        """The (cached) sorted-key seed index of the whole reference."""
+        index, _, _ = self.pipeline.index.run(self.reference, cache=self)
         return index
 
     # -- lifecycle -------------------------------------------------------------
     def warm(self) -> float:
-        """Build every missing row index now; returns the build seconds.
+        """Build the index now if it is missing; returns the build seconds.
 
-        On a fresh session this is exactly the paper's Table III quantity
-        (index construction without matching); on a warm session it is ~0.
+        On a fresh session this is the index-construction time without
+        matching; on a warm session it is 0.
         """
-        with self.tracer.span(
-            "session.warm", cat="session", n_rows=self.n_rows
-        ):
-            return self.pipeline.build_row_indexes(self.reference, cache=self)
+        with self.tracer.span("session.warm", cat="session"):
+            return self.pipeline.build_index(self.reference, cache=self)
 
     def drop_indexes(self) -> None:
-        """Release all cached row indexes (memory pressure valve).
+        """Release the cached index (memory pressure valve).
 
-        Safe to call while queries are in flight: the swap happens under
-        the cache lock, so concurrent row builds either land before the
-        drop (and are released) or after it (and repopulate the cache).
-
-        The per-row build locks are pruned along with the indexes they
-        single-flight — without this they accumulated one Lock per row
-        ever touched for the lifetime of the session. A lock currently
-        held by an in-flight builder is kept (its waiters still
-        serialize on it); a freshly dropped row simply grows a new one
-        on next touch, and the worst case around a drop is one extra
-        rebuild of that row, never a wrong result.
+        Safe to call while queries are in flight: a query that already
+        holds the index keeps using it, and the next touch rebuilds it
+        (single-flight, as on a fresh session).
         """
         with self._lock:
-            self._row_indexes = {}
-            self._build_locks = {
-                row: lock for row, lock in self._build_locks.items()
-                if lock.locked()
-            }
+            self._index = None
 
     def cache_info(self) -> dict:
         """Cache effectiveness counters and resident footprint.
 
-        Counters and the resident-index list are snapshotted under the
-        cache lock, so this is safe to call while concurrent queries (e.g.
-        a :class:`~repro.core.batch.BatchRunner`) are mutating the cache.
+        Snapshotted under the cache lock, so this is safe to call while
+        concurrent queries (e.g. a :class:`~repro.core.batch.BatchRunner`)
+        are filling the cache.
         """
         with self._lock:
-            indexes = list(self._row_indexes.values())
+            index = self._index
             hits, misses = self._hits, self._misses
             n_queries = self._n_queries
         return {
-            "n_rows": self.n_rows,
-            "n_cached": len(indexes),
+            "n_cached": int(index is not None),
             "hits": hits,
             "misses": misses,
             "n_queries": n_queries,
-            "nbytes_packed": sum(ix.nbytes_packed for ix in indexes),
+            "nbytes_packed": 0 if index is None else index.nbytes_packed,
         }
 
     # -- extraction ------------------------------------------------------------
@@ -275,9 +226,8 @@ class MemSession:
         return MatchSet(mems, stats=self.stats)
 
     def _publish_cache_stats(self, stats: PipelineStats) -> None:
-        """Surface the cumulative row-index cache counters (satellite: the
-        ``core/session.py`` LRU counters were invisible outside
-        ``cache_info()``) through PipelineStats and the metrics registry."""
+        """Surface the cumulative index-cache counters through
+        PipelineStats and the metrics registry."""
         with self._lock:
             hits, misses = self._hits, self._misses
         stats.session_cache_hits = hits
@@ -288,21 +238,20 @@ class MemSession:
             metrics.counter("session.cache.queries").inc()
             metrics.gauge("session.cache.hits").set(hits)
             metrics.gauge("session.cache.misses").set(misses)
-            metrics.gauge("session.cache.rows_cached").set(info["n_cached"])
             metrics.gauge("session.cache.resident_bytes").set(
                 info["nbytes_packed"]
             )
 
     def find_mems_batch(self, queries) -> list[MatchSet]:
-        """Extract against many queries, reusing the cached indexes."""
+        """Extract against many queries, reusing the cached index."""
         return [self.find_mems(query) for query in queries]
 
     def __repr__(self) -> str:
         with self._lock:
-            n_cached = len(self._row_indexes)
+            cached = self._index is not None
         return (
             f"MemSession(|R|={self.reference.size}, "
-            f"rows={n_cached}/{self.n_rows} cached, "
+            f"index={'cached' if cached else 'not built'}, "
             f"executor={self.params.executor!r})"
         )
 

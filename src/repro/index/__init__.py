@@ -3,8 +3,8 @@
 Everything the four CPU baselines and GPUMEM's index need, built from
 scratch: suffix arrays (vectorized prefix doubling), LCP arrays, the
 Burrows-Wheeler transform, an FM-index with backward search, sparse and
-enhanced sparse suffix arrays, and the CPU reference of GPUMEM's
-``locs``/``ptrs`` k-mer index.
+enhanced sparse suffix arrays, and GPUMEM's sorted-key ``keys``/``locs``
+k-mer index.
 """
 
 from repro.index.bwt import bwt_from_sa, bwt_transform, inverse_bwt

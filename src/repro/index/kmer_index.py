@@ -1,26 +1,23 @@
-"""GPUMEM's lightweight seed index — CPU reference implementation.
+"""GPUMEM's sampled seed index as one sorted-key table.
 
-The paper's index (§III-A, Figure 1) is two arrays:
+The index holds the seeds sampled on the global ``Δs`` grid of a reference
+region as two equal-length arrays:
 
-- ``locs``: positions of the indexed seeds in the reference, grouped by seed
-  value and sorted within each group;
-- ``ptrs``: prefix sums of per-seed occurrence counts, so the locations of
-  seed ``s`` live at ``locs[ptrs[s] : ptrs[s+1]]``.
+- ``keys``: the ℓs-mer code of each sampled seed, sorted;
+- ``locs``: the reference position of each seed, increasing within a run
+  of equal keys.
 
-Beside them each index keeps ``present``, a 1-bit membership table (bit
-``s & 7`` of byte ``s >> 3`` is set iff seed ``s`` occurs in the region).
-At ``4^ℓs / 8`` bytes it is 64× smaller than ``ptrs`` and stays in cache,
-so the tile stage tests every query seed against it first and reads
-``ptrs`` only for the few seeds that occur in the row.
+The locations of seed ``s`` are ``locs[lo:hi]`` with ``lo, hi`` the
+``searchsorted`` bounds of ``s`` in ``keys``. Memory is ``O(|R| / Δs)``
+whatever ℓs is, so seeds can be as long as one ``int64`` code holds
+(31 bases, the :func:`~repro.sequence.packed.kmer_codes` limit). The
+paper's dense ``ptrs[4^ℓs + 1]`` table (§III-A, Figure 1) is the same
+information indexed by seed value; it lives on only in the simulated GPU
+backend (:mod:`repro.core.seed_index`), where it models the K20c layout.
 
 Seeds are taken every ``step`` (Δs) positions, with
 ``step <= min_length - seed_length + 1`` (Eq. 1) guaranteeing every MEM of
 length ≥ ``min_length`` contains an indexed, query-aligned seed.
-
-This module is the *sequential reference*: the GPU-kernel version of the same
-construction (Algorithm 1: atomic counting → prefix sum → atomic fill →
-per-seed sort) lives in :mod:`repro.core.seed_index` and is tested for
-equality against this one.
 """
 
 from __future__ import annotations
@@ -32,131 +29,104 @@ import numpy as np
 from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.sequence.packed import kmer_codes
 
+#: Longest seed a sorted-key index can hold: one ``int64`` k-mer code.
+MAX_KEY_SEED_LENGTH = 31
+
 
 @dataclass(frozen=True)
 class KmerSeedIndex:
-    """The ``locs``/``ptrs`` pair for one reference region.
+    """Sorted seed codes (``keys``) beside their reference positions (``locs``).
 
     ``locs`` holds *absolute* reference positions (the paper stores
-    tile-relative offsets to shave bits; absolute positions keep the host
-    bookkeeping simpler and the size accounting is reported equivalently
-    via :attr:`nbits_per_loc`).
-
-    ``present`` is the membership bitset; constructors that do not pass it
-    get it derived from ``ptrs``.
+    tile-relative offsets to shave bits; the size accounting reports the
+    packed equivalent via :attr:`nbits_per_loc`).
     """
 
     seed_length: int
     step: int
     region_start: int
     region_end: int
-    ptrs: np.ndarray  # int64[4**seed_length + 1]
+    keys: np.ndarray  # int64[n_locs], non-decreasing
     locs: np.ndarray  # int64[n_locs]
-    present: np.ndarray | None = None  # uint8[ceil(4**seed_length / 8)]
-
-    def __post_init__(self):
-        if self.present is None:
-            object.__setattr__(self, "present", present_bits(np.diff(self.ptrs) > 0))
 
     @property
     def n_locs(self) -> int:
         return int(self.locs.size)
 
     @property
-    def n_seeds(self) -> int:
-        return 4 ** self.seed_length
-
-    @property
     def nbits_per_loc(self) -> int:
-        """Bits per stored location at the paper's packing (⌈log2 ℓtile⌉)."""
+        """Bits per stored location at the paper's packing (⌈log2 region⌉)."""
         span = max(2, self.region_end - self.region_start)
         return int(np.ceil(np.log2(span)))
 
     @property
     def nbytes_packed(self) -> int:
-        """Footprint at the paper's bit packing (§III-A sizing formulas)."""
-        locs_bits = self.n_locs * self.nbits_per_loc
-        ptrs_bits = (self.n_seeds + 1) * max(1, int(np.ceil(np.log2(max(2, self.n_locs + 1)))))
-        return (locs_bits + ptrs_bits + 7) // 8
+        """Footprint with locations and 2-bit seed codes bit-packed."""
+        bits = self.n_locs * (self.nbits_per_loc + 2 * self.seed_length)
+        return (bits + 7) // 8
 
     def lookup(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lookup: for each seed value, its (start, count) slice.
+        """Vectorized lookup: for each seed value, its ``(start, count)`` slice
+        of ``locs``.
 
-        Out-of-range seed values (negative — used by callers to mark query
-        windows that fall off the sequence) return count 0.
+        Values that are not indexed (including negative ones, which callers
+        use to mark windows that fall off the sequence) get count 0. Sorted
+        ``seeds`` make the binary searches walk ``keys`` in order.
         """
         seeds = np.asarray(seeds, dtype=np.int64)
-        valid = (seeds >= 0) & (seeds < self.n_seeds)
-        safe = np.where(valid, seeds, 0)
-        starts = self.ptrs[safe]
-        counts = np.where(valid, self.ptrs[safe + 1] - starts, 0)
+        starts = np.searchsorted(self.keys, seeds, side="left")
+        counts = np.zeros(seeds.size, dtype=np.int64)
+        if self.keys.size:
+            last = np.minimum(starts, self.keys.size - 1)
+            found = np.flatnonzero(self.keys[last] == seeds)
+            ends = np.searchsorted(self.keys, seeds[found], side="right")
+            counts[found] = ends - starts[found]
         return starts, counts
-
-    def present_indices(self, seeds: np.ndarray) -> np.ndarray:
-        """Indices into ``seeds`` of the values whose ``present`` bit is set.
-
-        Out-of-range values read a clipped byte and may pass; :meth:`lookup`
-        still gives them count 0.
-        """
-        seeds = np.asarray(seeds, dtype=np.int64)
-        byte = np.take(self.present, seeds >> 3, mode="clip")
-        return np.flatnonzero((byte >> (seeds & 7).astype(np.uint8)) & 1)
 
     def locations_of(self, seed_value: int) -> np.ndarray:
         """All reference positions of one seed value (sorted)."""
-        if not 0 <= seed_value < self.n_seeds:
-            return np.empty(0, dtype=np.int64)
-        return self.locs[self.ptrs[seed_value] : self.ptrs[seed_value + 1]]
+        starts, counts = self.lookup(np.array([seed_value]))
+        return self.locs[int(starts[0]) : int(starts[0] + counts[0])]
 
     def check(self) -> None:
-        """Internal consistency checks (used by tests, --selfcheck, and load).
+        """Structural checks (tests, ``--selfcheck`` and ``.npz`` loads).
 
+        ``keys`` non-decreasing, every location inside the region and on
+        the ``step`` grid, and locations increasing within equal keys.
         Raises :class:`repro.errors.IndexIntegrityError` (never a bare
-        ``AssertionError``, which ``python -O`` would strip) so corrupt
-        indexes are rejected structurally on every interpreter mode.
+        ``AssertionError``, which ``python -O`` would strip).
         """
-        if self.ptrs.size != self.n_seeds + 1:
+        if self.keys.shape != self.locs.shape:
             raise IndexIntegrityError(
-                f"ptrs has {self.ptrs.size} entries, expected "
-                f"{self.n_seeds + 1} (4^{self.seed_length} + 1)",
-                field="ptrs",
+                f"keys {self.keys.shape} and locs {self.locs.shape} differ "
+                "in shape", field="keys",
             )
-        if self.ptrs[0] != 0 or self.ptrs[-1] != self.n_locs:
+        step_down = np.diff(self.keys) < 0
+        if np.any(step_down):
             raise IndexIntegrityError(
-                f"ptrs endpoints ({int(self.ptrs[0])}, {int(self.ptrs[-1])}) "
-                f"do not span [0, n_locs={self.n_locs}]",
-                field="ptrs",
+                f"keys must be non-decreasing (slot {int(np.argmax(step_down)) + 1})",
+                field="keys",
             )
-        if not np.all(np.diff(self.ptrs) >= 0):
+        outside = (self.locs < self.region_start) | (self.locs >= self.region_end)
+        if np.any(outside):
             raise IndexIntegrityError(
-                "ptrs must be non-decreasing", field="ptrs"
+                f"location {int(self.locs[np.argmax(outside)])} outside the "
+                f"region [{self.region_start}, {self.region_end})",
+                field="locs",
             )
-        occurs = np.diff(self.ptrs) > 0
-        # Within a group locations strictly increase; a step that does not
-        # is allowed only where a new group starts.
-        group_start = np.zeros(self.n_locs, dtype=bool)
-        group_start[self.ptrs[:-1][occurs]] = True
-        bad = np.flatnonzero(~group_start[1:] & (np.diff(self.locs) <= 0))
-        if bad.size:
-            s = int(np.searchsorted(self.ptrs, bad[0] + 1, side="right")) - 1
+        off_grid = self.locs % self.step != 0
+        if np.any(off_grid):
             raise IndexIntegrityError(
-                f"seed {s} locations not sorted", field="locs"
+                f"location {int(self.locs[np.argmax(off_grid)])} is off the "
+                f"Δs = {self.step} grid",
+                field="locs",
             )
-        expect = present_bits(occurs)
-        if (
-            self.present.dtype != np.uint8
-            or self.present.shape != expect.shape
-            or not np.array_equal(self.present, expect)
-        ):
+        unsorted = (np.diff(self.keys) == 0) & (np.diff(self.locs) <= 0)
+        if np.any(unsorted):
+            seed = int(self.keys[np.argmax(unsorted)])
             raise IndexIntegrityError(
-                "present bits disagree with the non-empty ptrs groups",
-                field="present",
+                f"seed {seed} locations not sorted", field="locs"
             )
-
-
-def present_bits(occurs: np.ndarray) -> np.ndarray:
-    """Pack one bool per seed value into the ``present`` bitset layout."""
-    return np.packbits(occurs, bitorder="little")
 
 
 def validate_sparsity(seed_length: int, step: int, min_length: int) -> None:
@@ -185,6 +155,23 @@ def max_step(seed_length: int, min_length: int) -> int:
     return min_length - seed_length + 1
 
 
+def grid_positions(
+    n: int, seed_length: int, step: int, region_start: int, region_end: int
+) -> np.ndarray:
+    """Positions ``p ≡ 0 (mod step)`` in ``[region_start, region_end)`` whose
+    seed window fits in a sequence of ``n`` bases.
+
+    The grid is global, so indexing a region never shifts the sample phase.
+    Windows may read past ``region_end`` (DESIGN.md §5 note 3) but never
+    past the end of the sequence.
+    """
+    first = ((region_start + step - 1) // step) * step
+    last = min(region_end, n - seed_length + 1)
+    if first >= last:
+        return np.empty(0, dtype=np.int64)
+    return np.arange(first, last, step, dtype=np.int64)
+
+
 def build_kmer_index(
     codes: np.ndarray,
     *,
@@ -193,59 +180,33 @@ def build_kmer_index(
     region_start: int = 0,
     region_end: int | None = None,
 ) -> KmerSeedIndex:
-    """Build the ``locs``/``ptrs`` index for reference region ``[start, end)``.
-
-    Indexed positions are the global grid ``p ≡ 0 (mod step)`` intersected
-    with the region (grid-aligned globally so that tiling does not shift the
-    sample phase). Seed windows may read past ``region_end`` into the full
-    sequence — only the window *start* must lie in the region (DESIGN.md §5
-    note 3) — but never past the end of the sequence itself.
-    """
+    """Build the sorted-key index of reference region ``[start, end)``
+    (default: the whole sequence)."""
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     n = codes.size
     region_end = n if region_end is None else min(int(region_end), n)
     region_start = max(0, int(region_start))
-    if seed_length < 1 or seed_length > 31:
+    if not 1 <= seed_length <= MAX_KEY_SEED_LENGTH:
         raise InvalidParameterError(f"seed_length out of range: {seed_length}")
     if step < 1:
         raise InvalidParameterError(f"step must be >= 1, got {step}")
 
-    first = ((region_start + step - 1) // step) * step
-    last = min(region_end, n - seed_length + 1)  # window must fit in sequence
-    if first >= last:
-        positions = np.empty(0, dtype=np.int64)
-    else:
-        positions = np.arange(first, last, step, dtype=np.int64)
-
-    n_seeds = 4**seed_length
+    positions = grid_positions(n, seed_length, step, region_start, region_end)
     if positions.size == 0:
-        return KmerSeedIndex(
-            seed_length=seed_length,
-            step=step,
-            region_start=region_start,
-            region_end=region_end,
-            ptrs=np.zeros(n_seeds + 1, dtype=np.int64),
-            locs=positions,
-        )
-
-    # Encode only this row's window: the last seed ends at
-    # ``positions[-1] + seed_length`` (at most the sequence end).
-    window = codes[first : int(positions[-1]) + seed_length]
-    seeds = kmer_codes(window, seed_length)[positions - first]
-    order = np.argsort(seeds, kind="stable")  # stable → per-seed positions sorted
-    locs = positions[order]
-    counts = np.bincount(seeds, minlength=n_seeds)
-    ptrs = np.zeros(n_seeds + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptrs[1:])
-    # O(n_locs) from the row's own seeds, not O(4^ℓs) from ``counts``.
-    present = np.zeros((n_seeds + 7) // 8, dtype=np.uint8)
-    np.bitwise_or.at(present, seeds >> 3, np.left_shift(1, seeds & 7).astype(np.uint8))
+        keys = positions.copy()
+    else:
+        # Encode only the region's window: the last seed ends at
+        # ``positions[-1] + seed_length`` (at most the sequence end).
+        first = int(positions[0])
+        window = codes[first : int(positions[-1]) + seed_length]
+        keys = kmer_codes(window, seed_length)[positions - first]
+        order = np.argsort(keys, kind="stable")  # stable → locs sorted per key
+        keys, positions = keys[order], positions[order]
     return KmerSeedIndex(
         seed_length=seed_length,
         step=step,
         region_start=region_start,
         region_end=region_end,
-        ptrs=ptrs,
-        locs=locs,
-        present=present,
+        keys=keys,
+        locs=positions,
     )

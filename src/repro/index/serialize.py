@@ -37,12 +37,14 @@ from repro.errors import IndexError_, IndexIntegrityError
 from repro.index.kmer_index import KmerSeedIndex
 from repro.index.matching import SuffixArraySearcher
 
-#: Bump when the on-disk layout changes. Version 2 adds the mmap bundle
-#: layout; ``.npz`` archives are unchanged on disk, so version-1 files
-#: still load (see :data:`MIN_FORMAT_VERSION`).
-FORMAT_VERSION = 2
+#: Bump when the on-disk layout changes. Version 2 added the mmap bundle
+#: layout; version 3 stores k-mer indexes as sorted ``keys`` beside
+#: ``locs`` (no dense ``ptrs`` table). Older k-mer files lack ``keys`` and
+#: are rejected as invalid; searcher files are unchanged since version 1.
+FORMAT_VERSION = 3
 
-#: Oldest format version the loaders accept.
+#: Oldest format version the loaders accept (searchers; k-mer indexes
+#: need the version-3 arrays).
 MIN_FORMAT_VERSION = 1
 
 _KMER_MAGIC = "repro-kmer-index"
@@ -198,17 +200,14 @@ def save_kmer_index(index: KmerSeedIndex, path) -> Path:
         step=np.array(index.step),
         region_start=np.array(index.region_start),
         region_end=np.array(index.region_end),
-        ptrs=np.ascontiguousarray(index.ptrs, dtype=np.int64),
+        keys=np.ascontiguousarray(index.keys, dtype=np.int64),
         locs=np.ascontiguousarray(index.locs, dtype=np.int64),
     )
     return path
 
 
 def load_kmer_index(path) -> KmerSeedIndex:
-    """Read a :class:`KmerSeedIndex`; validates magic/version/consistency.
-
-    Archives do not store ``present``; it is derived from ``ptrs``.
-    """
+    """Read a :class:`KmerSeedIndex`; validates magic/version/consistency."""
     path = _resolve_npz_for_load(path)
     with _open_npz(path) as data:
         _check_header(data, _KMER_MAGIC, path)
@@ -217,7 +216,7 @@ def load_kmer_index(path) -> KmerSeedIndex:
             step=_take_scalar(data, "step", path),
             region_start=_take_scalar(data, "region_start", path),
             region_end=_take_scalar(data, "region_end", path),
-            ptrs=_take_array(data, "ptrs", np.int64, path),
+            keys=_take_array(data, "keys", np.int64, path),
             locs=_take_array(data, "locs", np.int64, path),
         )
     try:
@@ -310,7 +309,7 @@ def load_searcher(path) -> SuffixArraySearcher:
     return searcher
 
 
-# -- mmap bundle layout (FORMAT_VERSION 2) -------------------------------------
+# -- mmap bundle layout (FORMAT_VERSION >= 2) ----------------------------------
 #
 # A *bundle* is a directory:
 #
@@ -412,9 +411,8 @@ def save_kmer_bundle(index: KmerSeedIndex, dir_path) -> Path:
             region_end=index.region_end,
         ),
         arrays=dict(
-            ptrs=np.asarray(index.ptrs, dtype=np.int64),
+            keys=np.asarray(index.keys, dtype=np.int64),
             locs=np.asarray(index.locs, dtype=np.int64),
-            present=np.asarray(index.present, dtype=np.uint8),
         ),
     )
 
@@ -424,11 +422,10 @@ def load_kmer_bundle(
 ) -> KmerSeedIndex:
     """Load a k-mer index bundle; ``mmap=True`` maps the arrays zero-copy.
 
-    ``present`` is mapped like the other arrays, never re-derived; a
-    bundle without it is rejected as invalid. ``check=True`` additionally
-    runs the full structural self-check (it touches every page, so the
-    warm-tier store leaves it off and relies on the manifest + dtype/shape
-    validation instead).
+    A bundle without ``keys`` (the pre-version-3 dense layout) is rejected
+    as invalid. ``check=True`` additionally runs the structural self-check
+    (it touches every page, so the warm-tier store leaves it off and relies
+    on the manifest + dtype/shape validation instead).
     """
     meta, arrays = _read_bundle(dir_path, _KMER_MAGIC, mmap=mmap)
     scalars = meta["scalars"]
@@ -437,9 +434,8 @@ def load_kmer_bundle(
         step=int(scalars["step"]),
         region_start=int(scalars["region_start"]),
         region_end=int(scalars["region_end"]),
-        ptrs=_take_array(arrays, "ptrs", np.int64, dir_path),
+        keys=_take_array(arrays, "keys", np.int64, dir_path),
         locs=_take_array(arrays, "locs", np.int64, dir_path),
-        present=_take_array(arrays, "present", np.uint8, dir_path),
     )
     if check:
         try:

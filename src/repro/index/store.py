@@ -9,7 +9,7 @@ stack used it. :class:`IndexStore` closes that gap with three tiers:
    :func:`repro.core.session.get_session` cache:
    ``(reference fingerprint, index params)``. Hits cost a dict lookup.
 2. **warm** — an immutable bundle directory under the cache dir (see the
-   FORMAT_VERSION 2 layout of :mod:`repro.index.serialize`), loaded via
+   bundle layout of :mod:`repro.index.serialize`), loaded via
    ``np.load(..., mmap_mode="r")``: zero-copy, page-cache cost only. A
    warm *restart* therefore pays near-zero index-build time — copMEM's
    cheap-index-reuse lesson applied across processes and runs.
@@ -18,7 +18,7 @@ stack used it. :class:`IndexStore` closes that gap with three tiers:
 
 Cold builds are **single-flight across processes**: builders serialize on
 an advisory file lock per ``(fingerprint, params)`` key, so N spawned
-procpool workers racing the same row produce exactly one on-disk artifact
+procpool workers racing the same index produce exactly one on-disk artifact
 — the waiters wake up, find the published bundle, and take the warm path.
 Reads never lock: bundles are immutable once renamed into place.
 
@@ -66,7 +66,7 @@ from repro.obs.tracer import get_tracer
 #: Environment variable naming the default store's cache directory.
 STORE_ENV_VAR = "REPRO_INDEX_STORE"
 
-#: Hot-tier entries an :class:`IndexStore` keeps resident by default. Row
+#: Hot-tier entries an :class:`IndexStore` keeps resident by default. Seed
 #: indexes are small (sampled locations only), so this is generous enough
 #: for several warm references without pinning memory.
 HOT_CAPACITY = 64
@@ -154,7 +154,7 @@ def row_key(
     fingerprint: str, *, seed_length: int, step: int,
     region_start: int, region_end: int,
 ) -> str:
-    """Store key of one tile row's partial k-mer index."""
+    """Store key of the k-mer index of one reference region."""
     tag = _params_tag(dict(
         seed_length=seed_length, step=step,
         region_start=region_start, region_end=region_end,
@@ -169,7 +169,7 @@ def searcher_key(fingerprint: str, *, sparseness: int, prefix_table_k: int) -> s
 
 
 def _index_nbytes(index: KmerSeedIndex) -> int:
-    return int(index.ptrs.nbytes + index.locs.nbytes + index.present.nbytes)
+    return int(index.keys.nbytes + index.locs.nbytes)
 
 
 def _searcher_nbytes(searcher: SuffixArraySearcher) -> int:
@@ -344,18 +344,15 @@ class IndexStore:
         span.set(tier="warm", bytes_mmapped=nbytes)
         self._hot_put(key, value)
 
-    # -- k-mer row indexes -----------------------------------------------------
+    # -- k-mer indexes ---------------------------------------------------------
     def get_or_build_row(
         self, fingerprint: str, *, seed_length: int, step: int,
         region_start: int, region_end: int, build, tracer=None,
     ) -> tuple[KmerSeedIndex, float, str]:
-        """One tile row's index through the tiers.
+        """The k-mer index of one reference region through the tiers.
 
         ``build`` is a zero-argument callable returning
-        ``(KmerSeedIndex, seconds)`` — exactly the closure
-        :class:`repro.core.pipeline.RowIndexStage` already hands to
-        :meth:`repro.core.session.MemSession.get_or_build`, which is how
-        the session's cold path flows through here.
+        ``(KmerSeedIndex, seconds)``.
         """
         key = row_key(
             fingerprint, seed_length=seed_length, step=step,
@@ -372,21 +369,29 @@ class IndexStore:
 
     def get_or_build_reference_index(
         self, reference: np.ndarray, *, seed_length: int, step: int,
-        tracer=None,
+        fingerprint: str | None = None, build=None, tracer=None,
     ) -> tuple[KmerSeedIndex, float, str]:
-        """Whole-reference ``locs``/``ptrs`` index (``gpumem index --save``
-        scale artifacts), built via :func:`build_kmer_index` when cold."""
-        from repro.core.session import reference_fingerprint
+        """The whole-reference sorted-key index: one bundle per
+        ``(reference, ℓs, Δs)``.
 
+        This is the :class:`~repro.core.session.MemSession` cold path.
+        ``fingerprint`` skips re-hashing a reference the caller already
+        hashed; ``build`` (a zero-argument callable returning
+        ``(KmerSeedIndex, seconds)``) defaults to :func:`build_kmer_index`.
+        """
         codes = np.ascontiguousarray(reference, dtype=np.uint8)
+        if fingerprint is None:
+            from repro.core.session import reference_fingerprint
 
-        def build():
-            t0 = time.perf_counter()
-            index = build_kmer_index(codes, seed_length=seed_length, step=step)
-            return index, time.perf_counter() - t0
+            fingerprint = reference_fingerprint(codes)
+        if build is None:
+            def build():
+                t0 = time.perf_counter()
+                index = build_kmer_index(codes, seed_length=seed_length, step=step)
+                return index, time.perf_counter() - t0
 
         return self.get_or_build_row(
-            reference_fingerprint(codes), seed_length=seed_length, step=step,
+            fingerprint, seed_length=seed_length, step=step,
             region_start=0, region_end=int(codes.size),
             build=build, tracer=tracer,
         )

@@ -39,13 +39,40 @@ def dna(min_size: int = 0, max_size: int = 120, alphabet: int = 4):
     ).map(lambda xs: np.array(xs, dtype=np.uint8))
 
 
-def drop_bundle_array(bundle, name):
-    """Rewrite index bundle ``bundle`` as if written without array ``name``."""
-    meta_path = bundle / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["arrays"][name]
-    meta_path.write_text(json.dumps(meta))
-    (bundle / f"{name}.npy").unlink()
+def dense_ptrs(keys, seed_length):
+    """The dense ``ptrs`` table of sorted seed ``keys`` (Algorithm 1's
+    layout): the slot bounds of every seed value."""
+    return np.searchsorted(keys, np.arange(4**seed_length + 1, dtype=np.int64))
+
+
+def plant_dense_bundle(bundle, codes, *, seed_length, step, region_end=None):
+    """Write ``bundle`` in the version-2 k-mer layout: a dense ``ptrs``
+    table and a ``present`` bitset beside ``locs``, no ``keys``."""
+    from repro.index.kmer_index import build_kmer_index
+
+    idx = build_kmer_index(codes, seed_length=seed_length, step=step,
+                           region_end=region_end)
+    ptrs = dense_ptrs(idx.keys, seed_length)
+    arrays = {
+        "ptrs": ptrs,
+        "locs": idx.locs,
+        "present": np.packbits(np.diff(ptrs) > 0, bitorder="little"),
+    }
+    bundle.mkdir(parents=True)
+    for name, arr in arrays.items():
+        np.save(bundle / f"{name}.npy", arr)
+    meta = {
+        "magic": "repro-kmer-index",
+        "version": 2,
+        "scalars": {"seed_length": seed_length, "step": step,
+                    "region_start": idx.region_start,
+                    "region_end": idx.region_end},
+        "arrays": {name: {"dtype": arr.dtype.str, "shape": list(arr.shape),
+                          "nbytes": int(arr.nbytes)}
+                   for name, arr in arrays.items()},
+    }
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    return bundle
 
 
 @st.composite

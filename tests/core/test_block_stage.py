@@ -8,6 +8,8 @@ from repro.gpu.device import TEST_DEVICE
 from repro.gpu.kernel import Device
 from repro.index.kmer_index import build_kmer_index
 
+from tests.conftest import dense_ptrs
+
 
 def make_task(R, Q, params, r_lo=None, r_hi=None, q_lo=None, q_hi=None):
     index = build_kmer_index(
@@ -17,7 +19,7 @@ def make_task(R, Q, params, r_lo=None, r_hi=None, q_lo=None, q_hi=None):
     return BlockTask(
         reference=R,
         query=Q,
-        ptrs=index.ptrs,
+        ptrs=dense_ptrs(index.keys, params.seed_length),
         locs=index.locs,
         seed_length=params.seed_length,
         w=params.work_per_thread,

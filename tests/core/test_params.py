@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.params import BACKENDS, GpuMemParams
+from repro.core.params import BACKENDS, GpuMemParams, default_seed_length
 from repro.errors import InvalidParameterError
 
 
@@ -61,7 +61,9 @@ class TestValidation:
 
     def test_rejects_huge_seed(self):
         with pytest.raises(InvalidParameterError):
-            GpuMemParams(min_length=100, seed_length=14)
+            GpuMemParams(min_length=100, seed_length=32)
+        with pytest.raises(InvalidParameterError, match="simulated"):
+            GpuMemParams(min_length=100, seed_length=14, backend="simulated")
 
     def test_rejects_bad_backend(self):
         with pytest.raises(InvalidParameterError):
@@ -73,6 +75,31 @@ class TestValidation:
     def test_rejects_zero_blocks(self):
         with pytest.raises(InvalidParameterError):
             GpuMemParams(min_length=20, blocks_per_tile=0)
+
+
+class TestSeedLengthRule:
+    @pytest.mark.parametrize("L, ls", [(1, 1), (10, 7), (20, 14), (30, 21),
+                                       (100, 31)])
+    def test_vectorized_rule(self, L, ls):
+        # ℓs = min(31, L + 1 - ⌈L/3⌉): Δs = ⌈L/3⌉ below the cap
+        p = GpuMemParams(min_length=L)
+        assert p.seed_length == ls == default_seed_length(L)
+        assert p.step == L - ls + 1
+        if ls < 31:
+            assert p.step == -(-L // 3)
+
+    @pytest.mark.parametrize("L, ls", [(1, 1), (10, 10), (20, 10), (100, 10)])
+    def test_simulated_default(self, L, ls):
+        p = GpuMemParams(min_length=L, backend="simulated")
+        assert p.seed_length == ls == default_seed_length(L, "simulated")
+
+    def test_caps_per_backend(self):
+        assert GpuMemParams(min_length=100, seed_length=31).seed_length == 31
+        GpuMemParams(min_length=100, seed_length=13, backend="simulated")
+        with pytest.raises(InvalidParameterError):
+            GpuMemParams(min_length=100, seed_length=14, backend="simulated")
+        with pytest.raises(InvalidParameterError):
+            GpuMemParams(min_length=100, seed_length=32)
 
 
 class TestWith:

@@ -145,13 +145,14 @@ class TestSessionCaching:
         build_seconds = session.warm()
         assert build_seconds >= 0.0
         info = session.cache_info()
-        assert info["n_cached"] == session.n_rows > 1
+        assert info["n_cached"] == 1
 
         Q = np.concatenate([R[50:200], rng.integers(0, 4, 80).astype(np.uint8)])
         result = session.find_mems(Q)
         assert mems_equal(result.array, brute_force_mems(R, Q, L))
-        # warm run: the row-index stage must never rebuild
-        assert result.stats.index_cache_hits == session.n_rows
+        # warm run: the index stage must never rebuild (one lookup per
+        # band: one serially, one per worker under executor="process")
+        assert result.stats.index_cache_hits >= 1
         assert result.stats.index_cache_misses == 0
         assert result.stats.index_time == 0.0
 
@@ -238,11 +239,12 @@ class TestPackOnce:
         ]
         return R, queries
 
+    # The packings counted here are the parent's: under executor="process"
+    # (the CI process leg's default) the query is packed in the workers.
     def test_warm_session_packs_reference_once_and_each_query_once(self, packs):
         R, queries = self._inputs()
-        session = MemSession(R, _params())
+        session = MemSession(R, _params(executor="serial"))
         session.warm()
-        assert session.n_rows >= 2
         assert len(packs["pack_codes"]) == 1 and packs["words"] == 2
         for Q in queries:
             result = session.find_mems(Q)
@@ -258,7 +260,7 @@ class TestPackOnce:
         from repro.core import MemServer
 
         R, queries = self._inputs()
-        session = MemSession(R, _params())
+        session = MemSession(R, _params(executor="serial"))
         session.warm()
         with MemServer(session, tier="thread", workers=2, admission_limit=16) as server:
             results = [server.submit(Q) for Q in queries]
@@ -271,7 +273,7 @@ class TestPackOnce:
 
     def test_run_without_session_packs_each_sequence_once(self, packs):
         R, queries = self._inputs()
-        result = GpuMem(_params()).find_mems(R, queries[0])
+        result = GpuMem(_params(executor="serial")).find_mems(R, queries[0])
         assert mems_equal(result.array, brute_force_mems(R, queries[0], L))
         assert len(packs["pack_codes"]) == 2 and packs["words"] == 4
 

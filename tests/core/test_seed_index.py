@@ -8,7 +8,7 @@ from repro.gpu.device import TEST_DEVICE
 from repro.gpu.kernel import Device
 from repro.index.kmer_index import build_kmer_index
 
-from tests.conftest import dna
+from tests.conftest import dense_ptrs, dna
 
 
 class TestGpuIndexBuild:
@@ -18,9 +18,9 @@ class TestGpuIndexBuild:
         dev = Device(TEST_DEVICE)
         gpu = build_kmer_index_gpu(dev, codes, seed_length=ls, step=step, block=8)
         cpu = build_kmer_index(codes, seed_length=ls, step=step)
-        assert np.array_equal(gpu.ptrs, cpu.ptrs)
+        assert np.array_equal(gpu.keys, cpu.keys)
         assert np.array_equal(gpu.locs, cpu.locs)
-        assert np.array_equal(gpu.present, cpu.present)  # derived from ptrs
+        assert np.array_equal(gpu.ptrs, dense_ptrs(cpu.keys, ls))
 
     def test_region_build(self):
         rng = np.random.default_rng(0)
@@ -32,7 +32,7 @@ class TestGpuIndexBuild:
         )
         cpu = build_kmer_index(codes, seed_length=2, step=3,
                                region_start=50, region_end=150)
-        assert np.array_equal(gpu.ptrs, cpu.ptrs)
+        assert np.array_equal(gpu.keys, cpu.keys)
         assert np.array_equal(gpu.locs, cpu.locs)
 
     def test_four_steps_recorded(self):

@@ -1,9 +1,9 @@
 """MemSession under contention: single-flight builds, safe introspection.
 
-Regression tests for the PR-4 cache races: duplicate row builds under
-concurrent queries (two threads missing the same row both built its index),
-``cache_info()`` iterating the index dict while a concurrent ``put``
-mutates it, and ``drop_indexes()`` racing in-flight queries.
+Regression tests for the cache races: duplicate index builds under
+concurrent queries (two threads missing the index both built it),
+``cache_info()`` racing a concurrent fill, and ``drop_indexes()`` racing
+in-flight queries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def reference():
 
 @pytest.fixture()
 def counting_builds(monkeypatch):
-    """Count (and serialize observation of) real row-index builds.
+    """Count (and serialize observation of) real index builds.
 
     Build counting is only meaningful when every miss actually builds:
     an ambient persistent index store (``REPRO_INDEX_STORE``, as in the
@@ -52,37 +52,31 @@ def counting_builds(monkeypatch):
 
 class TestSingleFlight:
     def test_one_build_per_row_under_hammer(self, reference, counting_builds):
-        # blocks_per_tile=1 shrinks the tile so the reference spans many
-        # rows — the hammer contends on every one of them.
-        session = MemSession(reference, min_length=30, blocks_per_tile=1)
-        n_rows = session.n_rows
-        assert n_rows > 1
+        session = MemSession(reference, min_length=30)
         barrier = threading.Barrier(HAMMER_THREADS)
 
         def hammer(_):
             barrier.wait()
-            return [session.row_index(row) for row in range(n_rows)]
+            return session.seed_index()
 
         with ThreadPoolExecutor(HAMMER_THREADS) as pool:
-            all_rows = list(pool.map(hammer, range(HAMMER_THREADS)))
-        # Exactly one build per row, no matter how many threads missed it.
-        assert counting_builds["n"] == n_rows
-        # Every thread got the same index objects.
-        for rows in all_rows[1:]:
-            for a, b in zip(all_rows[0], rows, strict=True):
-                assert a is b
+            indexes = list(pool.map(hammer, range(HAMMER_THREADS)))
+        # Exactly one build, no matter how many threads missed it.
+        assert counting_builds["n"] == 1
+        # Every thread got the same index object.
+        assert all(ix is indexes[0] for ix in indexes[1:])
         info = session.cache_info()
-        assert info["misses"] == n_rows
-        assert info["hits"] == (HAMMER_THREADS - 1) * n_rows
-        assert info["n_cached"] == n_rows
+        assert info["misses"] == 1
+        assert info["hits"] == HAMMER_THREADS - 1
+        assert info["n_cached"] == 1
 
     def test_one_build_per_row_concurrent_queries(
         self, reference, counting_builds
     ):
         # Four queries on one shared session, as BatchRunner and MemServer
-        # run them: every thread walks the rows in the same order, so they
-        # all miss each cold row together.
-        session = MemSession(reference, min_length=30, blocks_per_tile=1)
+        # run them: they all miss the cold index together. Serial, so the
+        # builds counted are this session's, not the workers'.
+        session = MemSession(reference, min_length=30, executor="serial")
         query = reference[1_000:2_000].copy()
         barrier = threading.Barrier(4)
 
@@ -92,15 +86,15 @@ class TestSingleFlight:
 
         with ThreadPoolExecutor(4) as pool:
             results = list(pool.map(query_once, range(4)))
-        assert counting_builds["n"] == session.n_rows
+        assert counting_builds["n"] == 1
         assert all(r == results[0] for r in results[1:])
 
     def test_waiters_are_served_the_cached_index(
         self, reference, counting_builds
     ):
         session = MemSession(reference, min_length=30)
-        first = session.row_index(0)
-        assert session.row_index(0) is first
+        first = session.seed_index()
+        assert session.seed_index() is first
         assert counting_builds["n"] == 1
 
 
@@ -161,51 +155,27 @@ class TestIntrospectionUnderLoad:
         assert not failures
         assert all(r.as_tuples() == expected for r in results)
 
-    def test_drop_indexes_prunes_build_locks(self, reference):
-        # Regression: the per-row build locks used to accumulate one Lock
-        # per row ever touched for the lifetime of the session.
-        session = MemSession(reference, min_length=30, blocks_per_tile=1)
-        for row in range(session.n_rows):
-            session.row_index(row)
-        assert len(session._build_locks) == session.n_rows
-        session.drop_indexes()
-        assert session._build_locks == {}
-        # The cache repopulates (and re-grows locks) on next touch.
-        session.row_index(0)
-        assert len(session._build_locks) == 1
-
     def test_drop_indexes_keeps_held_builder_locks(self, reference):
-        # An in-flight builder's lock must survive the prune so its
+        # Dropping never touches the build lock, so an in-flight builder's
         # waiters still serialize on it.
-        session = MemSession(reference, min_length=30, blocks_per_tile=1)
-        session.row_index(0)
-        session.row_index(1)
-        lock0 = session._build_locks[0]
-        lock0.acquire()  # simulate a builder mid-flight on row 0
+        session = MemSession(reference, min_length=30)
+        session.seed_index()
+        lock = session._build_lock
+        lock.acquire()  # simulate a builder mid-flight
         try:
             session.drop_indexes()
-            assert session._build_locks == {0: lock0}
+            assert session._build_lock is lock
+            assert session.cache_info()["n_cached"] == 0
         finally:
-            lock0.release()
-        session.drop_indexes()
-        assert session._build_locks == {}
+            lock.release()
+        session.seed_index()
+        assert session.cache_info()["n_cached"] == 1
 
     def test_repeated_drop_cycles_do_not_grow_locks(self, reference):
-        session = MemSession(reference, min_length=30, blocks_per_tile=1)
-        for _ in range(3):
-            for row in range(session.n_rows):
-                session.row_index(row)
-            session.drop_indexes()
-        assert session._build_locks == {}
-
-    def test_plain_get_put_protocol_still_works(self, reference):
         session = MemSession(reference, min_length=30)
-        assert session.get(0) is None
-        index = session.row_index(0)
-        assert session.get(0) is index
-        info = session.cache_info()
-        # get(miss), get_or_build(build), get(hit)
-        assert info["misses"] == 2
-        assert info["hits"] == 1
-        session.put(1, index)
-        assert session.get(1) is index
+        lock = session._build_lock
+        for _ in range(3):
+            session.seed_index()
+            session.drop_indexes()
+        assert session._build_lock is lock and not lock.locked()
+        assert session.cache_info()["misses"] == 3

@@ -1,4 +1,4 @@
-"""Tests for repro.core.vectorized (tile stage internals)."""
+"""Tests for repro.core.vectorized (match stage internals)."""
 
 import time
 
@@ -10,10 +10,12 @@ from repro import GpuMem, mutate, random_dna
 from repro.core.params import GpuMemParams
 from repro.core.pipeline import TileMatchStage
 from repro.core.reference import brute_force_mems
-from repro.core.tiling import Tile, TilePlan
+from repro.core.tiling import Tile
 from repro.core.vectorized import (
+    candidate_chunks,
     expand_ranges,
     extend_and_classify,
+    seed_hits,
     stage_tile,
     tile_candidates,
 )
@@ -72,6 +74,12 @@ def naive_seed_hits(R, Q, tile, ls, step=1):
     return r.copy(), q.copy()
 
 
+def band_candidates(qk, q_lo, q_hi, idx):
+    """All candidates of query seeds ``[q_lo, q_hi)`` in one chunk."""
+    hits = seed_hits(qk[q_lo:q_hi], q_lo, idx)
+    return tile_candidates(hits, idx, 0, hits.n_candidates)
+
+
 class TestTileCandidates:
     def test_finds_all_seed_alignments(self):
         rng = np.random.default_rng(0)
@@ -80,7 +88,7 @@ class TestTileCandidates:
         ls, step = 3, 2
         idx = build_kmer_index(R, seed_length=ls, step=step)
         qk = kmer_codes(Q, ls)
-        r, q, counts = tile_candidates(qk, full_tile(60, 50), idx, 50, ls)
+        r, q = band_candidates(qk, 0, qk.size, idx)
         got = set(zip(r.tolist(), q.tolist(), strict=True))
         rk = kmer_codes(R, ls)
         expect = {
@@ -90,14 +98,14 @@ class TestTileCandidates:
             if rk[rr] == qk[qq]
         }
         assert got == expect
+        assert len(got) == r.size
 
     def test_respects_tile_column(self):
         R = np.zeros(30, dtype=np.uint8)
         Q = np.zeros(30, dtype=np.uint8)
         idx = build_kmer_index(R, seed_length=2, step=1)
         qk = kmer_codes(Q, 2)
-        tile = Tile(row=0, col=1, r_start=0, r_end=30, q_start=10, q_end=20)
-        _, q, _ = tile_candidates(qk, tile, idx, 30, 2)
+        _, q = band_candidates(qk, 10, 20, idx)
         assert q.min() >= 10 and q.max() < 20
 
     def test_query_window_must_fit_sequence(self):
@@ -105,15 +113,15 @@ class TestTileCandidates:
         Q = np.zeros(5, dtype=np.uint8)
         idx = build_kmer_index(R, seed_length=3, step=1)
         qk = kmer_codes(Q, 3)
-        _, q, _ = tile_candidates(qk, full_tile(10, 5), idx, 5, 3)
+        _, q = band_candidates(qk, 0, qk.size, idx)
         assert q.max() <= 2
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_byte_identical_to_loop_oracle(self, data):
-        """Bit filter + ``ptrs`` gather gives exactly the oracle's pairs, in
-        its order, also when some query seeds are out of range (negative
-        or ≥ 4^ℓs values take the ``clip`` path and must match nothing)."""
+        """The sorted join, cut into chunks of any size, gives exactly the
+        oracle's pairs in key order, also when some query seeds are out of
+        range (negative or ≥ 4^ℓs values must match nothing)."""
         alphabet = data.draw(st.sampled_from([2, 4]))
         R = data.draw(dna(min_size=4, max_size=70, alphabet=alphabet))
         Q = data.draw(dna(min_size=4, max_size=70, alphabet=alphabet))
@@ -131,20 +139,46 @@ class TestTileCandidates:
         for pos in bad:
             qk[pos] = data.draw(st.sampled_from(
                 [-1, -8, -(2**62), 4**ls, 4**ls + 7, 2**40]))
-        r, q, counts = tile_candidates(qk, tile, idx, Q.size, ls)
+        q_hi = min(tile.q_end, qk.size)
+        hits = seed_hits(qk[tile.q_start:q_hi], tile.q_start, idx)
+        size = data.draw(st.integers(1, 8))
+        chunks = candidate_chunks(hits.n_candidates, size)
+        assert all(0 < hi - lo <= size for lo, hi in chunks)
+        parts = [tile_candidates(hits, idx, lo, hi) for lo, hi in chunks]
+        r = np.concatenate([p[0] for p in parts] + [np.empty(0, np.int64)])
+        q = np.concatenate([p[1] for p in parts] + [np.empty(0, np.int64)])
         er, eq = naive_seed_hits(R, Q, tile, ls, step)
         keep = ~np.isin(eq, bad)
+        er, eq = er[keep], eq[keep]
         assert r.dtype == q.dtype == np.int64
-        assert r.tobytes() == er[keep].tobytes()
-        assert q.tobytes() == eq[keep].tobytes()
-        assert int(counts.sum()) == r.size
+        assert np.all(np.diff(qk[q]) >= 0)  # key-major
+        got, want = np.lexsort((r, q, qk[q])), np.lexsort((er, eq, qk[eq]))
+        assert r[got].tobytes() == er[want].tobytes()
+        assert q[got].tobytes() == eq[want].tobytes()
+        assert hits.n_candidates == r.size
 
     def test_empty_tile(self):
         R = np.zeros(10, dtype=np.uint8)
         idx = build_kmer_index(R, seed_length=3, step=1)
-        tile = Tile(row=0, col=0, r_start=0, r_end=10, q_start=4, q_end=4)
-        r, q, c = tile_candidates(np.empty(0, np.int64), tile, idx, 4, 3)
+        r, q = band_candidates(np.empty(0, np.int64), 4, 4, idx)
         assert r.size == 0
+
+
+class TestCandidateChunks:
+    def test_cuts_cover_the_candidates(self):
+        assert candidate_chunks(0, 4) == []
+        assert candidate_chunks(9, 4) == [(0, 4), (4, 8), (8, 9)]
+        assert candidate_chunks(8, 4) == [(0, 4), (4, 8)]
+
+    def test_cut_inside_one_seed(self):
+        # one hot seed owns every candidate: each cut takes a slice of it
+        R = np.zeros(40, dtype=np.uint8)
+        idx = build_kmer_index(R, seed_length=2, step=3)
+        hits = seed_hits(np.zeros(1, np.int64), 5, idx)
+        assert hits.n_candidates == idx.n_locs == 13
+        r = np.concatenate([tile_candidates(hits, idx, lo, hi)[0]
+                            for lo, hi in candidate_chunks(13, 5)])
+        assert r.tolist() == idx.locs.tolist()
 
 
 def extend(R, Q, r, q, ls, step, L):
@@ -172,10 +206,9 @@ class TestExtendAndClassify:
         # lies in the tile, so the tile reports it whole, past the box
         R = np.array([0, 1, 2], dtype=np.uint8)
         Q = np.array([0, 1, 2], dtype=np.uint8)
-        tile = Tile(row=0, col=0, r_start=0, r_end=2, q_start=0, q_end=2)
         idx = build_kmer_index(R, seed_length=2, step=1,
-                               region_start=tile.r_start, region_end=tile.r_end)
-        res = stage_tile(R, Q, kmer_codes(Q, 2), tile, idx, 1)
+                               region_start=0, region_end=2)
+        res = stage_tile(R, Q, kmer_codes(Q, 2)[:2], idx, 1)
         assert triples(res.mems) == [(0, 0, 3)]
         assert triples(extend(R, Q, [0], [0], 2, 1, 1)) == [(0, 0, 3)]
 
@@ -266,7 +299,7 @@ class TestStageTile:
         ls, L = 2, 3
         idx = build_kmer_index(R, seed_length=ls, step=1)
         qk = kmer_codes(Q, ls) if Q.size >= ls else np.empty(0, dtype=np.int64)
-        res = stage_tile(R, Q, qk, full_tile(R.size, Q.size), idx, L)
+        res = stage_tile(R, Q, qk, idx, L)
         assert mems_equal(res.mems, brute_force_mems(R, Q, L))
 
     def test_hit_stats(self):
@@ -274,7 +307,7 @@ class TestStageTile:
         Q = np.zeros(10, dtype=np.uint8)
         idx = build_kmer_index(R, seed_length=2, step=1)
         qk = kmer_codes(Q, 2)
-        res = stage_tile(R, Q, qk, full_tile(20, 10), idx, 3)
+        res = stage_tile(R, Q, qk, idx, 3)
         assert res.n_query_seeds == 9
         assert res.n_query_seeds_with_hits == 9
         assert res.n_candidates == 9 * 19
@@ -284,37 +317,29 @@ class TestStageTile:
         Q = np.array([0, 0, 0, 3, 3, 3, 0, 0], dtype=np.uint8)
         idx = build_kmer_index(R, seed_length=2, step=1)
         qk = kmer_codes(Q, 2)  # AA AA AT TT TT TA AA
-        res = stage_tile(R, Q, qk, full_tile(20, 8), idx, 3)
+        res = stage_tile(R, Q, qk, idx, 3)
         assert res.n_query_seeds == 7
         assert res.n_query_seeds_with_hits == 3
 
     @pytest.mark.parametrize("balance", [True, False])
     def test_load_balance_counters_match_full_probe(self, balance):
-        """The Algorithm-2 counters TileMatchStage feeds from the filtered
-        stats equal the ones a full ``ptrs`` probe of every slot gives."""
+        """The Algorithm-2 counters TileMatchStage feeds from the stage
+        stats equal the ones a direct ``lookup`` of every slot gives."""
         R = random_dna(3000, seed=5)
         Q = np.concatenate([mutate(R[500:1500], rate=0.05, seed=6),
                             random_dna(700, seed=7)])
         params = GpuMemParams(min_length=16, seed_length=6,
                               threads_per_block=8, blocks_per_tile=4,
                               load_balancing=balance)
-        plan = TilePlan(R.size, Q.size, params.tile_size)
         qk = kmer_codes(Q, params.seed_length)
         tracer = Tracer()
-        slots = active = redistributed = 0
-        for row in range(plan.n_rows):
-            r0, r1 = plan.row_range(row)
-            idx = build_kmer_index(R, seed_length=params.seed_length,
-                                   step=params.step, region_start=r0, region_end=r1)
-            TileMatchStage(params, tracer=tracer).run(R, Q, qk, plan, row, idx)
-            for tile in plan.tiles_in_row(row):
-                q_hi = min(tile.q_end, Q.size - params.seed_length + 1)
-                _, counts = idx.lookup(qk[tile.q_start:q_hi])
-                n_active = int((counts > 0).sum())
-                slots += counts.size
-                active += n_active
-                if balance and n_active:
-                    redistributed += counts.size - n_active
+        idx = build_kmer_index(R, seed_length=params.seed_length,
+                               step=params.step)
+        TileMatchStage(params, tracer=tracer).run(R, Q, qk, idx)
+        _, counts = idx.lookup(qk)
+        slots = counts.size
+        active = int((counts > 0).sum())
+        redistributed = slots - active if balance else 0
         metrics = tracer.metrics
         assert 0 < active < slots
         assert metrics.counter("load_balance.seed_slots").value == slots

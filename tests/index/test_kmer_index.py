@@ -1,4 +1,4 @@
-"""Tests for repro.index.kmer_index (GPUMEM's locs/ptrs structure)."""
+"""Tests for repro.index.kmer_index (the sorted keys/locs seed index)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexIntegrityError, InvalidParameterError
 from repro.index.kmer_index import (
-    KmerSeedIndex,
     build_kmer_index,
     max_step,
     validate_sparsity,
@@ -87,7 +86,19 @@ class TestBuildIndex:
         with pytest.raises(InvalidParameterError):
             build_kmer_index(np.zeros(5, np.uint8), seed_length=32, step=1)
 
-    @settings(max_examples=50)
+    def test_long_seeds(self):
+        # up to 31 bases, one int64 code per seed; memory is O(n_locs)
+        codes = np.random.default_rng(4).integers(0, 4, 300).astype(np.uint8)
+        idx = build_kmer_index(codes, seed_length=31, step=5)
+        idx.check()
+        km = kmer_codes(codes, 31)
+        assert idx.n_locs == 54
+        assert sorted(idx.keys.tolist()) == idx.keys.tolist()
+        assert np.array_equal(km[idx.locs], idx.keys)
+        for p in (0, 135, 265):
+            assert idx.locations_of(int(km[p])).tolist() == [p]
+
+    @settings(max_examples=50, deadline=None)
     @given(dna(min_size=1, max_size=120), st.integers(1, 4), st.integers(1, 5))
     def test_matches_naive_everywhere(self, codes, ls, step):
         idx = build_kmer_index(codes, seed_length=ls, step=step)
@@ -157,32 +168,29 @@ class TestLookup:
         assert idx.locations_of(99).size == 0
 
 
-class TestPresentBits:
     @settings(max_examples=50, deadline=None)
     @given(dna(min_size=1, max_size=150), st.integers(1, 4), st.integers(1, 5),
            st.lists(st.integers(-(2**40), 2**40), max_size=30))
-    def test_bit_filter_never_drops_a_hit(self, codes, ls, step, extra):
-        """Every seed whose ``lookup`` count is > 0 passes the bit test;
-        in-range seeds pass exactly when they occur."""
+    def test_lookup_never_drops_a_hit(self, codes, ls, step, extra):
+        """Every seed value gets exactly its grid occurrences; values that
+        do not occur (out of range included) get count 0."""
         idx = build_kmer_index(codes, seed_length=ls, step=step)
         seeds = np.concatenate([np.arange(-9, 4**ls + 9), extra]).astype(np.int64)
-        passed = np.zeros(seeds.size, dtype=bool)
-        passed[idx.present_indices(seeds)] = True
-        _, counts = idx.lookup(seeds)
-        assert not np.any((counts > 0) & ~passed)
-        in_range = (seeds >= 0) & (seeds < 4**ls)
-        assert np.array_equal(passed[in_range], counts[in_range] > 0)
-        assert not np.any(counts[~in_range])
+        km = kmer_codes(codes, ls)
+        grid = km[np.arange(0, km.size, step)] if km.size else km
+        starts, counts = idx.lookup(seeds)
+        expect = np.array([np.count_nonzero(grid == v) for v in seeds])
+        assert np.array_equal(counts, expect)
+        for v, lo, c in zip(seeds, starts, counts, strict=True):
+            assert np.all(idx.keys[lo : lo + c] == v)
 
-    @settings(max_examples=30, deadline=None)
-    @given(dna(min_size=1, max_size=150), st.integers(1, 5), st.integers(1, 5))
-    def test_built_bits_equal_bits_derived_from_ptrs(self, codes, ls, step):
-        idx = build_kmer_index(codes, seed_length=ls, step=step)
-        derived = KmerSeedIndex(idx.seed_length, idx.step, idx.region_start,
-                                idx.region_end, idx.ptrs, idx.locs)
-        assert idx.present.dtype == np.uint8
-        assert idx.present.size == -(-(4**ls) // 8)
-        assert np.array_equal(idx.present, derived.present)
+
+def largest_group(idx):
+    """``(key, first slot)`` of the most frequent key of ``idx``."""
+    values, first, counts = np.unique(idx.keys, return_index=True, return_counts=True)
+    i = int(np.argmax(counts))
+    assert counts[i] >= 2
+    return int(values[i]), int(first[i])
 
 
 class TestCheck:
@@ -194,8 +202,7 @@ class TestCheck:
 
     def test_rejects_unsorted_group(self):
         idx = self._index()
-        seed = int(np.argmax(np.diff(idx.ptrs)))
-        lo = int(idx.ptrs[seed])
+        seed, lo = largest_group(idx)
         idx.locs[[lo, lo + 1]] = idx.locs[[lo + 1, lo]]
         with pytest.raises(IndexIntegrityError, match=f"seed {seed} ") as exc:
             idx.check()
@@ -203,8 +210,7 @@ class TestCheck:
 
     def test_rejects_repeated_location_in_group(self):
         idx = self._index()
-        seed = int(np.argmax(np.diff(idx.ptrs)))
-        lo = int(idx.ptrs[seed])
+        _, lo = largest_group(idx)
         idx.locs[lo + 1] = idx.locs[lo]
         with pytest.raises(IndexIntegrityError) as exc:
             idx.check()
@@ -223,8 +229,8 @@ class TestCheck:
             else:
                 idx.locs[i] = idx.locs[j]
         loop_sorted = all(
-            np.all(np.diff(idx.locs[idx.ptrs[s] : idx.ptrs[s + 1]]) > 0)
-            for s in range(idx.n_seeds)
+            np.all(np.diff(idx.locs[idx.keys == s]) > 0)
+            for s in np.unique(idx.keys)
         )
         try:
             idx.check()
@@ -239,20 +245,28 @@ class TestCheck:
         assert np.any(np.diff(idx.locs) < 0)
         idx.check()
 
-    @pytest.mark.parametrize("seed", [0, 5, 63])
-    def test_rejects_flipped_present_bit(self, seed):
+    def test_rejects_unsorted_keys(self):
         idx = self._index()
-        idx.present[seed >> 3] ^= np.uint8(1 << (seed & 7))
-        with pytest.raises(IndexIntegrityError) as exc:
+        idx.keys[[0, -1]] = idx.keys[[-1, 0]]
+        with pytest.raises(IndexIntegrityError, match="non-decreasing") as exc:
             idx.check()
-        assert exc.value.field == "present"
+        assert exc.value.field == "keys"
 
-    def test_rejects_stray_padding_bit(self):
-        idx = build_kmer_index(np.zeros(8, np.uint8), seed_length=1, step=1)
-        idx.present[0] |= np.uint8(0x80)  # 4 seeds use bits 0-3 only
-        with pytest.raises(IndexIntegrityError) as exc:
+    def test_rejects_location_outside_region(self):
+        codes = np.zeros(50, np.uint8)
+        idx = build_kmer_index(codes, seed_length=2, step=5,
+                               region_start=10, region_end=30)
+        idx.locs[-1] = 30
+        with pytest.raises(IndexIntegrityError, match="outside") as exc:
             idx.check()
-        assert exc.value.field == "present"
+        assert exc.value.field == "locs"
+
+    def test_rejects_location_off_the_grid(self):
+        idx = build_kmer_index(np.zeros(50, np.uint8), seed_length=2, step=5)
+        idx.locs[-1] += 1
+        with pytest.raises(IndexIntegrityError, match="grid") as exc:
+            idx.check()
+        assert exc.value.field == "locs"
 
 
 class TestSizing:

@@ -22,7 +22,8 @@ from repro.index.serialize import (
     save_searcher_bundle,
 )
 
-from tests.conftest import drop_bundle_array
+from tests.conftest import dense_ptrs, plant_dense_bundle
+from tests.index.test_kmer_index import largest_group
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ class TestKmerIndexRoundTrip:
         save_kmer_index(idx, p)
         back = load_kmer_index(p)
         assert back.seed_length == 4 and back.step == 3
-        assert np.array_equal(back.ptrs, idx.ptrs)
+        assert np.array_equal(back.keys, idx.keys)
         assert np.array_equal(back.locs, idx.locs)
 
     def test_loaded_index_matches(self, ref, tmp_path):
@@ -56,9 +57,7 @@ class TestKmerIndexRoundTrip:
         p = tmp_path / "idx.npz"
         # corrupt locs ordering before saving
         bad_locs = idx.locs.copy()
-        sizes = np.diff(idx.ptrs)
-        seed = int(np.argmax(sizes))
-        lo = int(idx.ptrs[seed])
+        _, lo = largest_group(idx)
         bad_locs[lo], bad_locs[lo + 1] = bad_locs[lo + 1], bad_locs[lo].copy()
         from dataclasses import replace
 
@@ -122,7 +121,7 @@ class TestSuffixNormalization:
         idx = build_kmer_index(ref, seed_length=4, step=3)
         save_kmer_index(idx, tmp_path / "idx")
         back = load_kmer_index(tmp_path / "idx.npz")
-        assert np.array_equal(back.ptrs, idx.ptrs)
+        assert np.array_equal(back.keys, idx.keys)
 
     def test_searcher_suffix_normalized(self, ref, tmp_path):
         s = SuffixArraySearcher(ref)
@@ -188,7 +187,7 @@ class TestHeaderValidation:
         idx = build_kmer_index(ref, seed_length=4, step=3)
         p = save_kmer_index(idx, tmp_path / "idx.npz")
         data = self._raw(p)
-        data["ptrs"] = data["ptrs"].astype(np.int32)
+        data["keys"] = data["keys"].astype(np.int32)
         np.savez_compressed(p, **data)
         with pytest.raises(IndexError_, match="dtype"):
             load_kmer_index(p)
@@ -203,7 +202,8 @@ class TestHeaderValidation:
             load_kmer_index(p)
 
     def test_v1_archive_loads_under_v2(self, ref, tmp_path):
-        """The .npz layout didn't change in v2: v1 files must keep loading."""
+        """Version numbers down to MIN_FORMAT_VERSION pass the header check
+        (a k-mer archive must still hold the version-3 ``keys``)."""
         idx = build_kmer_index(ref, seed_length=4, step=3)
         p = save_kmer_index(idx, tmp_path / "idx.npz")
         data = self._raw(p)
@@ -220,7 +220,7 @@ class TestHeaderValidation:
             "from repro.index.kmer_index import build_kmer_index\n"
             "idx = build_kmer_index("
             "np.arange(64, dtype=np.uint8) % 4, seed_length=3, step=1)\n"
-            "idx.ptrs[-1] += 1\n"
+            "idx.keys[0] = idx.keys[-1] + 1\n"
             "try:\n"
             "    idx.check()\n"
             "except IndexIntegrityError:\n"
@@ -238,11 +238,12 @@ class TestKmerBundle:
         idx = build_kmer_index(ref, seed_length=4, step=3)
         d = save_kmer_bundle(idx, tmp_path / "bundle")
         back = load_kmer_bundle(d, mmap=True, check=True)
-        assert isinstance(back.ptrs, np.memmap)  # zero-copy load
-        assert isinstance(back.present, np.memmap)
-        assert np.array_equal(back.ptrs, idx.ptrs)
-        assert np.array_equal(back.present, idx.present)
+        assert isinstance(back.keys, np.memmap)  # zero-copy load
+        assert isinstance(back.locs, np.memmap)
+        assert np.array_equal(back.keys, idx.keys)
         assert np.array_equal(back.locs, idx.locs)
+        assert sorted(p.name for p in d.iterdir()) == [
+            "keys.npy", "locs.npy", "meta.json"]
         assert back.seed_length == 4 and back.step == 3
         assert back.region_start == idx.region_start
         assert back.region_end == idx.region_end
@@ -254,17 +255,22 @@ class TestKmerBundle:
         assert not isinstance(back.locs, np.memmap)
         assert np.array_equal(back.locs, idx.locs)
 
-    def test_bundle_without_present_is_invalid(self, ref, tmp_path):
-        idx = build_kmer_index(ref, seed_length=4, step=3)
-        d = save_kmer_bundle(idx, tmp_path / "bundle")
-        drop_bundle_array(d, "present")
-        with pytest.raises(IndexError_, match="present"):
+    def test_dense_layout_bundle_is_invalid(self, ref, tmp_path):
+        # a version-2 bundle (ptrs/present, no keys) must not load
+        d = plant_dense_bundle(tmp_path / "bundle", ref, seed_length=4, step=3)
+        with pytest.raises(IndexError_, match="keys"):
             load_kmer_bundle(d)
 
-    def test_npz_load_derives_present(self, ref, tmp_path):
+    def test_dense_layout_archive_is_invalid(self, ref, tmp_path):
         idx = build_kmer_index(ref, seed_length=4, step=3)
-        back = load_kmer_index(save_kmer_index(idx, tmp_path / "idx.npz"))
-        assert np.array_equal(back.present, idx.present)
+        p = save_kmer_index(idx, tmp_path / "idx.npz")
+        data = dict(np.load(p, allow_pickle=False))
+        del data["keys"]
+        data["ptrs"] = dense_ptrs(idx.keys, 4)
+        data["version"] = np.array(2)
+        np.savez_compressed(p, **data)
+        with pytest.raises(IndexError_, match="keys"):
+            load_kmer_index(p)
 
     def test_missing_meta_is_file_not_found(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -289,7 +295,7 @@ class TestKmerBundle:
     def test_deleted_array_file_rejected(self, ref, tmp_path):
         idx = build_kmer_index(ref, seed_length=4, step=3)
         d = save_kmer_bundle(idx, tmp_path / "bundle")
-        (d / "ptrs.npy").unlink()
+        (d / "keys.npy").unlink()
         with pytest.raises(IndexError_, match="missing array file"):
             load_kmer_bundle(d)
 
@@ -324,8 +330,7 @@ class TestKmerBundle:
 
         idx = build_kmer_index(ref, seed_length=3, step=1)
         bad = idx.locs.copy()
-        sizes = np.diff(idx.ptrs)
-        lo = int(idx.ptrs[int(np.argmax(sizes))])
+        _, lo = largest_group(idx)
         bad[lo], bad[lo + 1] = bad[lo + 1], bad[lo].copy()
         d = save_kmer_bundle(replace(idx, locs=bad), tmp_path / "bundle")
         load_kmer_bundle(d, check=False)  # structural pass: shapes/dtypes OK

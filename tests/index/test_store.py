@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import repro.index.kmer_index as kmer_index
 from repro.index.kmer_index import build_kmer_index
 from repro.index.store import (
     STORE_ENV_VAR,
@@ -21,7 +20,7 @@ from repro.index.store import (
     store_at,
 )
 
-from tests.conftest import drop_bundle_array
+from tests.conftest import plant_dense_bundle
 
 
 @pytest.fixture
@@ -104,30 +103,23 @@ class TestTierWalk:
         assert src3 == "warm" and calls == [1]  # loaded, not rebuilt
         assert isinstance(idx3.locs, np.memmap)  # mmap-backed
         assert np.array_equal(idx3.locs, idx1.locs)
-        assert np.array_equal(idx3.ptrs, idx1.ptrs)
+        assert np.array_equal(idx3.keys, idx1.keys)
 
-    def test_warm_load_maps_present_without_deriving(self, ref, tmp_path,
-                                                      monkeypatch):
+    def test_warm_load_maps_keys_and_locs(self, ref, tmp_path):
         store = IndexStore(tmp_path)
         kw = dict(seed_length=4, step=3, region_start=0, region_end=ref.size)
         built, _, _ = store.get_or_build_row(
             FP, build=_build_counter(ref, [], seed_length=4, step=3), **kw
         )
         store.clear_hot()
-
-        def no_derive(occurs):
-            raise AssertionError("present was derived on a warm load")
-
-        monkeypatch.setattr(kmer_index, "present_bits", no_derive)
         idx, _, src = store.get_or_build_row(
             FP, build=_build_counter(ref, [], seed_length=4, step=3), **kw
         )
         assert src == "warm"
-        assert isinstance(idx.present, np.memmap)
-        assert np.array_equal(idx.present, built.present)
-        assert store.stats()["bytes_mmapped"] == (
-            built.ptrs.nbytes + built.locs.nbytes + built.present.nbytes
-        )
+        assert isinstance(idx.keys, np.memmap)
+        assert np.array_equal(idx.keys, built.keys)
+        # O(|R| / Δs) on disk: two int64 arrays, no 4^ℓs table
+        assert store.stats()["bytes_mmapped"] == 2 * 8 * built.n_locs
 
     def test_counters(self, ref, tmp_path):
         store = IndexStore(tmp_path)
@@ -228,21 +220,30 @@ class TestInvalidBundleRecovery:
         )
         assert src2 == "warm" and calls == [1]
 
-    def test_bundle_without_present_is_rebuilt_not_served(self, ref, tmp_path):
+    def test_dense_layout_bundle_is_rebuilt_not_served(self, ref, tmp_path):
+        # a bundle in the version-2 layout (ptrs/present, no keys) at the
+        # session's key counts once as invalid and is rebuilt
         store = IndexStore(tmp_path)
-        kw = self._fill(store, ref)
-        store.clear_hot()
-        bundle = store.root / row_key(FP, **kw)
-        drop_bundle_array(bundle, "present")
+        kw = dict(seed_length=4, step=3)
+        from repro.core.session import reference_fingerprint
+
+        key = row_key(reference_fingerprint(ref), region_start=0,
+                      region_end=ref.size, **kw)
+        bundle = plant_dense_bundle(store.root / key, ref, **kw)
         calls = []
-        idx, _, src = store.get_or_build_row(
-            FP, build=_build_counter(ref, calls, seed_length=4, step=3), **kw
-        )
+        build = _build_counter(ref, calls, **kw)
+        idx, _, src = store.get_or_build_reference_index(ref, build=build, **kw)
         assert src == "build" and calls == [1]
         assert store.stats()["invalid_bundles"] == 1
-        expect = build_kmer_index(ref, seed_length=4, step=3)
-        assert np.array_equal(idx.present, expect.present)
-        assert (bundle / "present.npy").is_file()  # the rebuild persisted it
+        expect = build_kmer_index(ref, **kw)
+        assert np.array_equal(idx.keys, expect.keys)
+        assert np.array_equal(idx.locs, expect.locs)
+        assert (bundle / "keys.npy").is_file()  # the rebuild persisted it
+        assert not (bundle / "ptrs.npy").exists()
+        store.clear_hot()
+        _, _, src2 = store.get_or_build_reference_index(ref, build=build, **kw)
+        assert src2 == "warm" and calls == [1]
+        assert store.stats()["invalid_bundles"] == 1
 
     def test_wiped_manifest_is_rebuilt(self, ref, tmp_path):
         store = IndexStore(tmp_path)
@@ -356,7 +357,7 @@ idx, _, source = store.get_or_build_row(
     fp, seed_length=4, step=3, region_start=0, region_end=ref.size,
     build=build,
 )
-assert int(idx.ptrs[-1]) == int(idx.locs.size)
+assert int(idx.keys.size) == int(idx.locs.size)
 print(source)
 """
 

@@ -44,7 +44,7 @@ class TestMatchTrace:
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"pipeline.run", "stage:prep", "stage:row_index",
+        assert {"pipeline.run", "stage:prep", "stage:index",
                 "stage:tile_match"} <= names
         assert "stage:host_merge" not in names
         assert "session.cache.queries" in doc["metrics"]
@@ -77,7 +77,7 @@ class TestMatchTrace:
         assert validate_chrome_trace(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert "session.warm" in names
-        assert "pipeline.build_row_indexes" in names
+        assert "pipeline.build_index" in names
 
 
 class TestTraceSubcommand:

@@ -27,9 +27,11 @@ from repro.obs import (
 )
 from repro.obs.shipping import WorkerObs, merge_payload
 
-#: Stage spans of a vectorized run; the simulated backend adds its host merge.
-STAGES = ("stage:prep", "stage:row_index", "stage:tile_match")
-SIM_STAGES = STAGES + ("stage:host_merge",)
+#: Stage spans of a vectorized run (one index for the whole reference); the
+#: simulated backend builds one index per tile row and adds its host merge.
+STAGES = ("stage:prep", "stage:index", "stage:tile_match")
+SIM_STAGES = ("stage:prep", "stage:row_index", "stage:tile_match",
+              "stage:host_merge")
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,18 @@ from repro.errors import (
 
 
 class TestCorruptedIndex:
+    """The simulated backend's dense Algorithm-1 index (``locs``/``ptrs``)."""
+
     def make_index(self):
-        from repro.index.kmer_index import build_kmer_index
+        from repro.core.seed_index import build_kmer_index_gpu
+        from repro.gpu.device import TEST_DEVICE
+        from repro.gpu.kernel import Device
 
         rng = np.random.default_rng(0)
         codes = rng.integers(0, 4, 200).astype(np.uint8)
-        return build_kmer_index(codes, seed_length=3, step=2)
+        return build_kmer_index_gpu(
+            Device(TEST_DEVICE), codes, seed_length=3, step=2, block=8
+        )
 
     def test_check_catches_unsorted_locs(self):
         idx = self.make_index()
